@@ -11,8 +11,8 @@
 // workloads and reports the number of queries that actually reached the
 // CDCL core (one-shot blasts + incremental assumption solves) — a
 // scheduling-independent counter, meaningful on 1-core CI runners. It also
-// replays every workload across {on,off} x jobs {1,8} x
-// {incremental,one-shot} and byte-compares verdicts, counterexample
+// replays every workload across {on,off} x {incremental,one-shot} and
+// byte-compares verdicts, counterexample
 // packets, and bounded-state packet sequences: the layers are verdict-only
 // front-runs, so the output fingerprint must be identical in every cell.
 //
@@ -50,7 +50,6 @@ struct Measured {
 
 struct Mode {
   bool avoidance = true;
-  size_t jobs = 1;
   bool incremental = true;
 };
 
@@ -59,7 +58,6 @@ using Workload = Measured (*)(const Mode&);
 verify::DecomposedConfig make_config(const Mode& m, size_t len) {
   verify::DecomposedConfig cfg;
   cfg.packet_len = len;
-  cfg.jobs = m.jobs;
   cfg.incremental = m.incremental;
   cfg.rewrite = m.avoidance;
   cfg.independence = m.avoidance;
@@ -188,11 +186,11 @@ int main(int argc, char** argv) {
 
   benchutil::section("TAB10: query avoidance vs raw decision layer");
   std::printf(
-      "stat-based A/B at jobs=1: 'sat solves' counts queries reaching the "
-      "CDCL core\n(one-shot blasts + incremental assumption solves), which "
-      "is scheduling-\nindependent. The determinism matrix then re-runs "
-      "every workload across\n{on,off} x jobs {1,8} x {incremental,one-shot} "
-      "and byte-compares outputs.\n\n");
+      "stat-based A/B: 'sat solves' counts queries reaching the CDCL core\n"
+      "(one-shot blasts + incremental assumption solves), which is\n"
+      "scheduling-independent. The determinism matrix then re-runs every\n"
+      "workload across {on,off} x {incremental,one-shot} and byte-compares\n"
+      "outputs.\n\n");
 
   struct Row {
     const char* name;
@@ -245,47 +243,31 @@ int main(int argc, char** argv) {
   t.print();
 
   // The avoidance layers must not change a single output byte, so compare
-  // all-on against all-off within each (jobs, incremental) cell. The
-  // incremental flag itself may pick a different — equally valid — Sat
-  // model than one-shot solving (a pre-existing property the fuzz harness
-  // pins per mode), so cells are compared pairwise, not against one global
-  // reference. jobs never changes bytes: each pair also covers jobs 1 vs 8.
+  // all-on against all-off within each incremental cell. The incremental
+  // flag itself may pick a different — equally valid — Sat model than
+  // one-shot solving (a pre-existing property the fuzz harness pins per
+  // mode), so cells are compared pairwise, not against one global
+  // reference.
   benchutil::section("TAB10: determinism matrix (byte-identical outputs)");
-  benchutil::Table dm({"workload", "on-vs-off cells", "jobs 1-vs-8", "outputs"});
+  benchutil::Table dm({"workload", "on-vs-off cells", "outputs"});
   for (const Row& w : workloads) {
     size_t cells = 0;
     bool identical = true;
-    std::string jobs1_ref;  // layers on, incremental, jobs=1
-    bool jobs_identical = true;
-    for (const size_t jobs : {size_t{1}, size_t{8}}) {
-      for (const bool incremental : {true, false}) {
-        Mode on_mode{true, jobs, incremental};
-        Mode off_mode{false, jobs, incremental};
-        const Measured on = w.run(on_mode);
-        const Measured off = w.run(off_mode);
-        ++cells;
-        if (on.fingerprint != off.fingerprint) {
-          std::printf(
-              "FAIL: '%s' layers-on output differs from layers-off at "
-              "jobs=%zu incremental=%d\n",
-              w.name, jobs, incremental ? 1 : 0);
-          identical = false;
-        }
-        if (incremental) {
-          if (jobs1_ref.empty()) {
-            jobs1_ref = on.fingerprint;
-          } else if (on.fingerprint != jobs1_ref) {
-            std::printf("FAIL: '%s' output differs between jobs 1 and %zu\n",
-                        w.name, jobs);
-            jobs_identical = false;
-          }
-        }
+    for (const bool incremental : {true, false}) {
+      const Measured on = w.run(Mode{true, incremental});
+      const Measured off = w.run(Mode{false, incremental});
+      ++cells;
+      if (on.fingerprint != off.fingerprint) {
+        std::printf(
+            "FAIL: '%s' layers-on output differs from layers-off at "
+            "incremental=%d\n",
+            w.name, incremental ? 1 : 0);
+        identical = false;
       }
     }
     dm.add_row({w.name, benchutil::fmt_u64(cells),
-                jobs_identical ? "identical" : "MISMATCH",
                 identical ? "byte-identical" : "MISMATCH"});
-    ok = ok && identical && jobs_identical;
+    ok = ok && identical;
   }
   dm.print();
 

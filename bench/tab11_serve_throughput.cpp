@@ -13,10 +13,10 @@
 //      the edited element re-derive; with --assert-improvement <percent>
 //      the bench exits 1 unless the reduction meets the floor (the CI
 //      perf-smoke gate).
-//   3. A cold-vs-warm determinism matrix over jobs {1,8} x
-//      {incremental,one-shot}, byte-comparing verdicts and counterexample
-//      packets of cached runs (cold and warm) against the cache-less
-//      reference — a wrong cache hit cannot hide behind timing.
+//   3. A cold-vs-warm determinism matrix over {incremental,one-shot},
+//      byte-comparing verdicts and counterexample packets of cached runs
+//      (cold and warm) against the cache-less reference — a wrong cache
+//      hit cannot hide behind timing.
 #include <unistd.h>
 
 #include <cstdio>
@@ -112,11 +112,10 @@ uint64_t total_sat_solves(const spec::CheckReport& rep) {
   return total;
 }
 
-spec::CheckReport run_check(const char* text, size_t jobs, bool incremental,
+spec::CheckReport run_check(const char* text, bool incremental,
                             cache::VerdictCache* cache) {
   const spec::SpecFile spec = spec::parse_spec(text);
   spec::CheckOptions opts;
-  opts.jobs = jobs;
   opts.incremental = incremental;
   opts.cache = cache;
   return spec::check_spec(spec, opts);
@@ -225,19 +224,19 @@ int main(int argc, char** argv) {
   {
     cache::VerdictCache cold_cache(cache_dir);
     benchutil::Stopwatch sw_cold;
-    const spec::CheckReport cold = run_check(kRouterSpec, 1, true, &cold_cache);
+    const spec::CheckReport cold = run_check(kRouterSpec, true, &cold_cache);
     const double cold_s = sw_cold.seconds();
 
     // A fresh VerdictCache on the same directory: a new process would see
     // exactly this (disk entries only, in-memory layer empty).
     cache::VerdictCache warm_cache(cache_dir);
     benchutil::Stopwatch sw_warm;
-    const spec::CheckReport warm = run_check(kEditedSpec, 1, true, &warm_cache);
+    const spec::CheckReport warm = run_check(kEditedSpec, true, &warm_cache);
     const double warm_s = sw_warm.seconds();
 
     // The edited spec verified cache-less: the warm run must agree with it
     // on every output byte (a wrong reused verdict would diverge here).
-    const spec::CheckReport ref = run_check(kEditedSpec, 1, true, nullptr);
+    const spec::CheckReport ref = run_check(kEditedSpec, true, nullptr);
     if (report_fingerprint(warm) != report_fingerprint(ref)) {
       std::printf("FAIL: warm edited-spec report differs from cache-less\n");
       ok = false;
@@ -289,31 +288,28 @@ int main(int argc, char** argv) {
         MatrixSpec{"no-route drop (violated)", kViolatedSpec}}) {
     size_t cells = 0;
     bool cold_ok = true, warm_ok = true;
-    for (const size_t jobs : {size_t{1}, size_t{8}}) {
-      for (const bool incremental : {true, false}) {
-        ++cells;
-        const std::string dir =
-            fresh_dir("dm" + std::to_string(jobs) + (incremental ? "i" : "o"));
-        const spec::CheckReport ref =
-            run_check(ms.text, jobs, incremental, nullptr);
-        cache::VerdictCache cold_cache(dir);
-        const spec::CheckReport cold =
-            run_check(ms.text, jobs, incremental, &cold_cache);
-        cache::VerdictCache warm_cache(dir);
-        const spec::CheckReport warm =
-            run_check(ms.text, jobs, incremental, &warm_cache);
-        if (report_fingerprint(cold) != report_fingerprint(ref)) {
-          std::printf("FAIL: '%s' cold differs at jobs=%zu incremental=%d\n",
-                      ms.name, jobs, incremental ? 1 : 0);
-          cold_ok = false;
-        }
-        if (report_fingerprint(warm) != report_fingerprint(ref)) {
-          std::printf("FAIL: '%s' warm differs at jobs=%zu incremental=%d\n",
-                      ms.name, jobs, incremental ? 1 : 0);
-          warm_ok = false;
-        }
-        fs::remove_all(dir);
+    for (const bool incremental : {true, false}) {
+      ++cells;
+      const std::string dir =
+          fresh_dir(std::string("dm") + (incremental ? "i" : "o"));
+      const spec::CheckReport ref = run_check(ms.text, incremental, nullptr);
+      cache::VerdictCache cold_cache(dir);
+      const spec::CheckReport cold =
+          run_check(ms.text, incremental, &cold_cache);
+      cache::VerdictCache warm_cache(dir);
+      const spec::CheckReport warm =
+          run_check(ms.text, incremental, &warm_cache);
+      if (report_fingerprint(cold) != report_fingerprint(ref)) {
+        std::printf("FAIL: '%s' cold differs at incremental=%d\n", ms.name,
+                    incremental ? 1 : 0);
+        cold_ok = false;
       }
+      if (report_fingerprint(warm) != report_fingerprint(ref)) {
+        std::printf("FAIL: '%s' warm differs at incremental=%d\n", ms.name,
+                    incremental ? 1 : 0);
+        warm_ok = false;
+      }
+      fs::remove_all(dir);
     }
     dm.add_row({ms.name, benchutil::fmt_u64(cells),
                 cold_ok ? "byte-identical" : "MISMATCH",

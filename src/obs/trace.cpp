@@ -72,7 +72,6 @@ std::string quoted(const std::string& s) {
 
 const char* cat_name(Cat c) {
   switch (c) {
-    case Cat::Task: return "task";
     case Cat::Summarize: return "summarize";
     case Cat::Stitch: return "stitch";
     case Cat::Solve: return "solve";
@@ -204,7 +203,7 @@ bool write_metrics(const std::string& path) {
   if (!out) return false;
   std::lock_guard<std::mutex> lock(t.mu);
   // Counters first, sorted by name: this prefix of the file is
-  // deterministic across runs (at jobs=1) and is what the determinism
+  // deterministic across runs and is what the determinism
   // test compares.
   std::map<std::string, uint64_t> counters;
   for (const auto& [name, value] : t.counters) counters[name] = value;
@@ -212,7 +211,7 @@ bool write_metrics(const std::string& path) {
     out << "{\"type\":\"counter\",\"name\":" << quoted(name)
         << ",\"value\":" << value << "}\n";
   }
-  // Span aggregates: counts are deterministic at jobs=1; the "total_us"
+  // Span aggregates: counts are deterministic across runs; the "total_us"
   // field is wall time and is the reason these lines carry a distinct
   // type, so determinism comparisons can drop them.
   std::map<std::pair<std::string, std::string>, SpanAgg> aggs;

@@ -3,17 +3,18 @@
 // One process-wide Tracer collects two kinds of observations:
 //
 //  - Spans: scoped wall-time intervals (RAII ScopedSpan) with a category
-//    (summarize / stitch / solve / refine / enumerate / task / oracle /
-//    phase), a name, and up to a handful of string args (element names,
-//    path addresses, query fingerprints, avoidance-ladder rungs).
+//    (summarize / stitch / solve / refine / enumerate / oracle / phase),
+//    a name, and up to a handful of string args (element names, path
+//    addresses, query fingerprints, avoidance-ladder rungs).
 //  - Counters: named monotone uint64 counters, independent of wall time.
 //
 // Two sinks:
 //  - write_chrome_trace(): Chrome trace-event JSON ("ph":"X" complete
 //    events) that loads directly in Perfetto / chrome://tracing, one lane
-//    per worker thread (lane 0 = main, lane w+1 = parallel-engine worker w).
+//    per thread (lane 0 = main; a thread that spans on its own calls
+//    set_lane, and lane w+1 is named "worker w").
 //  - write_metrics(): JSONL, one object per line. Counter lines and
-//    span-count lines are deterministic at jobs=1; lines carrying
+//    span-count lines are deterministic across runs; lines carrying
 //    microsecond timings are explicitly typed so tests can filter them out.
 //
 // Cost discipline: the tracer is OFF by default and every entry point
@@ -40,7 +41,6 @@ namespace vsd::obs {
 // Span categories. Fixed small set so sinks and the profiler can group by
 // them without string interning.
 enum class Cat : uint8_t {
-  Task,       // one parallel work-queue task on a worker lane
   Summarize,  // Step-1 per-(element, entry-length) summarization
   Stitch,     // Step-2 stitched-path suspect decision
   Solve,      // one solver query through the avoidance ladder
@@ -56,7 +56,7 @@ const char* cat_name(Cat c);
 // tracer epoch (the moment tracing was enabled / reset).
 struct SpanEvent {
   Cat cat;
-  uint32_t lane;  // 0 = main thread, w+1 = worker w
+  uint32_t lane;  // 0 = main thread, w+1 = worker w (see set_lane)
   const char* name;
   uint64_t ts_us;
   uint64_t dur_us;
@@ -79,8 +79,8 @@ void enable(bool on);
 // Drops all recorded events and counters and restarts the epoch.
 void reset();
 
-// Sets this thread's lane id for subsequent spans (0 = main; the parallel
-// engine assigns w+1 to worker w). Thread-local.
+// Sets this thread's lane id for subsequent spans (0 = main; a caller
+// running spans on worker threads assigns w+1 to worker w). Thread-local.
 void set_lane(uint32_t lane);
 uint32_t lane();
 
@@ -92,7 +92,7 @@ void count(const char* name, uint64_t delta = 1);
 std::map<std::string, uint64_t> counters_snapshot();
 
 // Aggregates all recorded spans by (category, name). Deterministic in
-// keys and counts at jobs=1; total_us is wall time and never is.
+// keys and counts; total_us is wall time and never is.
 std::map<std::pair<std::string, std::string>, SpanAgg> span_aggregate();
 
 // Copy of every recorded span (args included) — the raw material for
@@ -131,7 +131,7 @@ class ScopedSpan {
 
  private:
   bool active_ = false;
-  Cat cat_ = Cat::Task;
+  Cat cat_ = Cat::Phase;
   const char* name_ = nullptr;
   uint64_t start_us_ = 0;
   std::vector<std::pair<const char*, std::string>> args_;

@@ -25,7 +25,8 @@ struct ServeOptions {
   std::string socket_path;
   // On-disk verdict store ("" = cache lives only in this process).
   std::string cache_dir;
-  // Default verifier jobs per request (a request's "jobs" field wins).
+  // Default "jobs" per request (a request's own field wins). Passed to
+  // CheckOptions::jobs, which has no effect: a request starts no threads.
   size_t jobs = 1;
   // Requests longer than this are answered with an error and the
   // connection is closed — a malformed client cannot balloon the daemon.

@@ -176,7 +176,8 @@ class Solver {
   // free variable of `e` (variables not mentioned are unconstrained). Sat
   // models are always derived by a deterministic one-shot solve, so the
   // witness bytes depend only on `e` — never on what this solver decided
-  // before (required for jobs-count-independent counterexamples). The
+  // before (required for counterexamples that do not depend on which
+  // assertions a verifier checked first). The
   // incremental context still front-runs the query: an Unsat answer (the
   // common case for stitched suspects) never pays a one-shot blast.
   CheckResult check(const bv::ExprRef& e);

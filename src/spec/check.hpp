@@ -21,8 +21,10 @@ struct SummaryCaches;  // verify/decomposed.hpp
 namespace vsd::spec {
 
 struct CheckOptions {
-  // Worker threads for the verifier (0 = one per hardware thread).
-  // Verdicts and counterexamples are identical at any job count.
+  // Accepted and ignored: check_spec runs the assertions in order on the
+  // calling thread and starts no threads. Kept so callers (the serve
+  // protocol's "jobs" key, `vsd check --jobs`) stay source-compatible until
+  // assertion-level parallelism comes back with a measured gain.
   size_t jobs = 1;
   // Incremental assumption-based solving (see DecomposedConfig::incremental).
   bool incremental = true;

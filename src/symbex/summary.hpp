@@ -72,8 +72,9 @@ class SummaryCache {
   size_t misses_ = 0;
 };
 
-// Thread-safe summary cache for the parallel verification engine. Keyed
-// like SummaryCache by (structural program hash, packet length): an element
+// Thread-safe summary cache, shared by concurrent verifiers (check_spec's
+// assertion workers, the serve daemon's connections). Keyed like
+// SummaryCache by (structural program hash, packet length): an element
 // type+configuration is symbexed exactly once even when many workers race
 // to request it — the first requester computes with its own executor while
 // the others block on the entry until it is ready. Returned references stay

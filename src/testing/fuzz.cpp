@@ -207,23 +207,14 @@ struct Runner {
     }
   }
 
-  verify::DecomposedConfig verifier_config(size_t len, size_t jobs,
-                                           bool incremental) const {
+  verify::DecomposedConfig verifier_config(size_t len, bool incremental) const {
     verify::DecomposedConfig vc;
     vc.packet_len = len;
-    vc.jobs = jobs;
     vc.incremental = incremental;
     // Trimmed budgets: the harness wants throughput over proof power; an
     // Unknown verdict simply yields no oracle for that property.
     vc.max_composed_paths = 1u << 16;
     vc.max_refine_paths = 1u << 10;
-    // Determinism over wall clock: the default refinement budget is
-    // seconds-based, which would make verdicts depend on machine load and
-    // flake the cross-check / same-seed contracts. Cap by interpreted
-    // instructions instead — same honest Unknown past the budget, but
-    // byte-identical on any host.
-    vc.refine_time_budget_seconds = 0.0;
-    vc.refine_max_instructions = 5'000'000;
     vc.refine_max_solver_checks = 2048;
     vc.max_state_keys = 512;
     vc.rewrite = cfg.rewrite;
@@ -375,7 +366,7 @@ struct Runner {
     // --- verify ------------------------------------------------------------
     pipeline::Pipeline pl = elements::parse_pipeline(gp.config);
     verify::DecomposedVerifier verifier(
-        verifier_config(gp.packet_len, cfg.jobs, true));
+        verifier_config(gp.packet_len, true));
     const verify::CrashFreedomReport crash = verifier.verify_crash_freedom(pl);
     const verify::ReachabilityReport never =
         verifier.verify_reach_never(pl, wf_pred, verify::TerminalSpec{});
@@ -398,7 +389,7 @@ struct Runner {
         verifier.verify_bounded_state(pl, any_pred, sbs);
 
     verify::DecomposedVerifier runt_verifier(
-        verifier_config(gp.runt_len, cfg.jobs, true));
+        verifier_config(gp.runt_len, true));
     const verify::CrashFreedomReport crash_runt =
         runt_verifier.verify_crash_freedom(pl);
 
@@ -412,14 +403,10 @@ struct Runner {
     // --- cross-checks ------------------------------------------------------
     if (cfg.cross_check) {
       verify::DecomposedVerifier one_shot(
-          verifier_config(gp.packet_len, cfg.jobs, false));
+          verifier_config(gp.packet_len, false));
       check_report_match(gp, index, "cross-check-mismatch",
                          "incremental vs one-shot", crash,
                          one_shot.verify_crash_freedom(pl));
-      verify::DecomposedVerifier other_jobs(
-          verifier_config(gp.packet_len, cfg.jobs == 1 ? 8 : 1, true));
-      check_report_match(gp, index, "cross-check-mismatch", "jobs 1 vs 8",
-                         crash, other_jobs.verify_crash_freedom(pl));
     }
 
     // --- persistent-cache oracle -------------------------------------------
@@ -429,7 +416,7 @@ struct Runner {
     // cached verdict changed an answer.
     if (cache_ != nullptr) {
       verify::DecomposedConfig cached_cfg =
-          verifier_config(gp.packet_len, cfg.jobs, true);
+          verifier_config(gp.packet_len, true);
       cached_cfg.decision_cache = cache_.get();
       verify::DecomposedVerifier cold(cached_cfg);
       check_report_match(gp, index, "cache-verdict-mismatch",

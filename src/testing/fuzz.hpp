@@ -20,8 +20,8 @@
 //                               does not reproduce under concrete replay
 //   state-sequence-unreplayable a Violated occupancy sequence that fails
 //                               concrete replay
-//   cross-check-mismatch        incremental vs --one-shot, or jobs 1 vs 8,
-//                               disagree on verdict or counterexample bytes
+//   cross-check-mismatch        incremental vs --one-shot disagree on
+//                               verdict or counterexample bytes
 //   cache-verdict-mismatch      a --cache-dir run (cold, filling the cache,
 //                               or warm, reusing it) disagrees with the
 //                               cache-less verdict or counterexample bytes
@@ -33,7 +33,7 @@
 // Failed repros are auto-shrunk (sequence- then byte-minimized, see
 // shrink.hpp) and dumped as a .vspec + packet hexdump artifact pair.
 // Everything is reproducible from the seed alone: no wall clock, no
-// global state, deterministic at any --jobs value.
+// global state.
 #pragma once
 
 #include <cstdint>
@@ -57,11 +57,8 @@ struct FuzzConfig {
   size_t sequence_len = 6;
   // Occupancy bound handed to verify_bounded_state.
   uint64_t state_bound = 2;
-  // Verifier worker threads (verdicts are jobs-independent; the report is
-  // byte-identical at any value).
-  size_t jobs = 1;
-  // Cross-check incremental-vs-one-shot and jobs{1,8} verdict equality on
-  // the crash-freedom property of every generated pipeline.
+  // Cross-check incremental-vs-one-shot verdict equality on the
+  // crash-freedom property of every generated pipeline.
   bool cross_check = true;
   // Query-avoidance kill switches, mirrored into every verifier the
   // harness builds (verdict-only layers, but independently disengageable

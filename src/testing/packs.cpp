@@ -229,7 +229,7 @@ size_t write_packs(const std::string& dir) {
   return count;
 }
 
-PackCheckResult check_packs(const std::string& dir, size_t jobs) {
+PackCheckResult check_packs(const std::string& dir) {
   namespace fs = std::filesystem;
   PackCheckResult res;
   res.ok = true;
@@ -262,8 +262,7 @@ PackCheckResult check_packs(const std::string& dir, size_t jobs) {
   }
 
   // Every assertion of every present pack must pass.
-  spec::CheckOptions opts;
-  opts.jobs = jobs;
+  const spec::CheckOptions opts;
   for (const std::string& name : elems) {
     const fs::path path = fs::path(dir) / (name + ".vspec");
     if (!fs::exists(path)) continue;

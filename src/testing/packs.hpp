@@ -45,6 +45,6 @@ struct PackCheckResult {
 // Verifies the checked-in corpus: every registered element has a pack,
 // every pack file names a registered element, and every assertion of every
 // pack passes under the spec checker.
-PackCheckResult check_packs(const std::string& dir, size_t jobs = 1);
+PackCheckResult check_packs(const std::string& dir);
 
 }  // namespace vsd::fuzz

@@ -1,12 +1,9 @@
 #include "verify/decomposed.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -15,10 +12,8 @@
 #include "cache/fingerprint.hpp"
 #include "interp/interp.hpp"
 #include "obs/trace.hpp"
-#include "solver/pool.hpp"
 #include "symbex/state_summary.hpp"
 #include "verify/decision_cache.hpp"
-#include "verify/parallel.hpp"
 
 namespace vsd::verify {
 
@@ -108,40 +103,18 @@ uint64_t replay_instruction_count(const pipeline::Pipeline& pl,
 
 class DecomposedVerifier::Impl {
  public:
-  explicit Impl(DecomposedConfig config)
-      : cfg(config),
-        jobs(resolve_jobs(config.jobs)),
-        pool(jobs, config.max_solver_conflicts, config.incremental) {
+  explicit Impl(DecomposedConfig config) : cfg(config) {
     solver.set_max_conflicts(cfg.max_solver_conflicts);
     solver.set_incremental(cfg.incremental);
-    apply_avoidance(solver);
-    pool.set_rewrite(cfg.rewrite);
-    pool.set_independence(cfg.independence);
-    pool.set_cex_cache(cfg.cex_cache);
-    pool.set_core_grouping(cfg.core_grouping);
-    pool.set_clause_gc(cfg.clause_gc);
-    if (jobs > 1) queue = std::make_unique<WorkQueue>(jobs);
-  }
-
-  void apply_avoidance(solver::Solver& sv) const {
-    sv.set_rewrite(cfg.rewrite);
-    sv.set_independence(cfg.independence);
-    sv.set_cex_cache(cfg.cex_cache);
-    sv.set_core_grouping(cfg.core_grouping);
-    sv.set_clause_gc(cfg.clause_gc);
-  }
-
-  static size_t resolve_jobs(size_t requested) {
-    if (requested != 0) return requested;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    solver.set_rewrite(cfg.rewrite);
+    solver.set_independence(cfg.independence);
+    solver.set_cex_cache(cfg.cex_cache);
+    solver.set_core_grouping(cfg.core_grouping);
+    solver.set_clause_gc(cfg.clause_gc);
   }
 
   DecomposedConfig cfg;
-  size_t jobs;
-  solver::Solver solver;     // the sequential engine's instance
-  solver::SolverPool pool;   // one instance per worker (parallel engine)
-  std::unique_ptr<WorkQueue> queue;  // only when jobs > 1
+  solver::Solver solver;
   // Step-1 summary caches: private per instance, unless the config hands
   // in a shared bundle (the serve daemon's warm state).
   SummaryCaches own_caches_;
@@ -167,17 +140,13 @@ class DecomposedVerifier::Impl {
                       // the composed constraints partition the input space
   };
 
-  // `sv`/`vstats` are the calling worker's solver instance and stats block;
-  // the sequential engine passes the members, parallel workers their own.
   const ElementSummary& summary_for(const ir::Program& prog, size_t len,
-                                    Precision precision, solver::Solver& sv,
-                                    VerifyStats& vstats) {
+                                    Precision precision) {
     if (cfg.loop_mode == symbex::LoopMode::Unroll) {
-      return get_summary(cache_unroll(), symbex::LoopMode::Unroll, prog, len,
-                         sv, vstats);
+      return get_summary(cache_unroll(), symbex::LoopMode::Unroll, prog, len);
     }
-    const ElementSummary& s = get_summary(
-        cache_summarize(), symbex::LoopMode::Summarize, prog, len, sv, vstats);
+    const ElementSummary& s =
+        get_summary(cache_summarize(), symbex::LoopMode::Summarize, prog, len);
     // Any remaining trap suspect in a summarized element gets the exact
     // (unrolled) treatment before we conclude anything — regardless of
     // property, because trap constraints may be loop-over-approximated.
@@ -196,16 +165,14 @@ class DecomposedVerifier::Impl {
         (precision == Precision::ExactDropsTraps && has_lossy_drop) ||
         (precision == Precision::ExactAll && has_any_bound);
     if (cfg.unroll_fallback && need_unroll) {
-      return get_summary(cache_unroll(), symbex::LoopMode::Unroll, prog, len,
-                         sv, vstats);
+      return get_summary(cache_unroll(), symbex::LoopMode::Unroll, prog, len);
     }
     return s;
   }
 
   const ElementSummary& get_summary(symbex::SharedSummaryCache& cache,
                                     symbex::LoopMode mode,
-                                    const ir::Program& prog, size_t len,
-                                    solver::Solver& sv, VerifyStats& vstats) {
+                                    const ir::Program& prog, size_t len) {
     symbex::ExecOptions eo;
     eo.loop_mode = mode;
     // Summarize mode relies on folding + intervals (cheap, and the loop
@@ -214,7 +181,7 @@ class DecomposedVerifier::Impl {
     eo.fork_check = mode == symbex::LoopMode::Unroll
                         ? symbex::ForkCheck::Solver
                         : symbex::ForkCheck::FoldOnly;
-    eo.solver = &sv;
+    eo.solver = &solver;
     symbex::Executor exec(eo);
     bool was_miss = false;
     obs::ScopedSpan sp(obs::Cat::Summarize, "summarize");
@@ -232,12 +199,12 @@ class DecomposedVerifier::Impl {
       }
     }
     if (was_miss) {
-      ++vstats.elements_summarized;
-      vstats.segments_total += s.segments.size();
-      vstats.instructions_interpreted += s.stats.instructions_interpreted;
-      vstats.forks += s.stats.forks;
+      ++stats.elements_summarized;
+      stats.segments_total += s.segments.size();
+      stats.instructions_interpreted += s.stats.instructions_interpreted;
+      stats.forks += s.stats.forks;
     } else {
-      ++vstats.summary_cache_hits;
+      ++stats.summary_cache_hits;
     }
     return s;
   }
@@ -276,15 +243,11 @@ class DecomposedVerifier::Impl {
   // Variables of a segment that are not the element's declared inputs:
   // KV-read symbols, havoc symbols, table-model symbols. They must be
   // renamed per pipeline instantiation (two instances of the same element
-  // type have distinct private state). Thread-safe: parallel workers hit
-  // the same segments while walking disjoint subtrees.
+  // type have distinct private state).
   const std::vector<ExprRef>& aux_vars(const ElementSummary& sum,
                                        const Segment& g) {
-    {
-      std::lock_guard<std::mutex> lock(aux_mu_);
-      auto it = aux_cache_.find(&g);
-      if (it != aux_cache_.end()) return it->second;
-    }
+    auto it = aux_cache_.find(&g);
+    if (it != aux_cache_.end()) return it->second;
     std::unordered_set<uint64_t> inputs;
     for (const ExprRef& v : sum.entry.input_byte_vars()) {
       inputs.insert(v->var_id());
@@ -309,7 +272,6 @@ class DecomposedVerifier::Impl {
       scan(r.key);
       scan(r.value);
     }
-    std::lock_guard<std::mutex> lock(aux_mu_);
     return aux_cache_.emplace(&g, std::move(aux)).first->second;
   }
 
@@ -366,18 +328,17 @@ class DecomposedVerifier::Impl {
   // continuing into `down`) installs the segment's output packet. Returns
   // nullopt when the stitched constraint folds to false — for a trap
   // segment that IS the Step-2 elimination, the paper's p1 case, where
-  // (in < 0) ∧ (0 < 0) collapses syntactically. Shared by the sequential
-  // and parallel walks so compose semantics cannot diverge between them.
+  // (in < 0) ∧ (0 < 0) collapses syntactically. Shared by the full walk
+  // and the per-path refinement so compose semantics cannot diverge.
   std::optional<ComposeState> expand_segment(const ElementSummary& sum,
                                              const Segment& g,
                                              const ComposeState& st,
                                              size_t elem,
-                                             std::optional<size_t> down,
-                                             VerifyStats& vstats) {
+                                             std::optional<size_t> down) {
     const bool continues = g.action == SegAction::Emit && down.has_value();
     auto inst = instantiate(sum, g, st, continues);
     if (!inst) {
-      if (g.action == SegAction::Trap) ++vstats.suspects_eliminated;
+      if (g.action == SegAction::Trap) ++stats.suspects_eliminated;
       return std::nullopt;
     }
     ComposeState next;
@@ -397,9 +358,9 @@ class DecomposedVerifier::Impl {
     return next;
   }
 
-  // Generic DAG walk (sequential engine). on_terminal(state, element_index,
-  // segment) is invoked for every composed terminal (Drop, Trap, or Emit
-  // leaving the pipeline). `should_visit` prunes subtrees (e.g. elements
+  // Generic DAG walk. on_terminal(state, element_index, segment) is
+  // invoked for every composed terminal (Drop, Trap, or Emit leaving the
+  // pipeline). `should_visit` prunes subtrees (e.g. elements
   // that cannot reach a suspect). Returns false if the path budget was
   // exhausted.
   template <typename TerminalFn, typename VisitFn>
@@ -408,8 +369,7 @@ class DecomposedVerifier::Impl {
             Precision precision) {
     if (!should_visit(elem)) return true;
     const ElementSummary& sum = summary_for(pl.element(elem).model_program(),
-                                            st.bytes.size(), precision,
-                                            solver, stats);
+                                            st.bytes.size(), precision);
     if (sum.truncated) {
       truncated_ = true;
       return false;
@@ -419,7 +379,7 @@ class DecomposedVerifier::Impl {
       const bool is_emit = g.action == SegAction::Emit;
       const std::optional<size_t> down =
           is_emit ? pl.downstream(elem, g.port) : std::nullopt;
-      auto expanded = expand_segment(sum, g, st, elem, down, stats);
+      auto expanded = expand_segment(sum, g, st, elem, down);
       if (!expanded) continue;
       ComposeState next = std::move(*expanded);
       if (is_emit && down.has_value()) {
@@ -439,33 +399,6 @@ class DecomposedVerifier::Impl {
     return true;
   }
 
-  // ---------------------------------------------------------------------
-  // Parallel walk (jobs > 1): the same DAG exploration, but every feasible
-  // Emit edge forks a work-queue task, and terminals are handed to the
-  // callback on whichever worker reached them. Each terminal carries its
-  // DFS address (the segment index chosen at every element), so callers
-  // sort results into exactly the sequential emission order — reports are
-  // byte-for-byte deterministic in verdicts, suspect sets, and path lists
-  // regardless of job count.
-  //
-  // Caveat, shared with every parallel model checker that bounds work with
-  // a global counter: if max_composed_paths is actually exhausted, WHICH
-  // terminals won a budget slot depends on scheduling, so an exhausted run
-  // may report Violated (with a genuine counterexample) on one run and
-  // Unknown on another — both sound, neither a proof. Within the budget
-  // (all tier-1 workloads are orders of magnitude below it) results are
-  // fully deterministic.
-  // ---------------------------------------------------------------------
-
-  struct TerminalRecord {
-    std::vector<uint32_t> order;  // DFS address: per-element segment index
-    ComposeState st;
-    size_t elem = 0;
-    const Segment* seg = nullptr;
-  };
-  using MtTerminalFn = std::function<void(size_t worker, TerminalRecord&&)>;
-  using MtVisitFn = std::function<bool(size_t elem)>;
-
   void begin_call(const pipeline::Pipeline& pl) {
     stats = {};
     begin_cache_context(pl);
@@ -474,28 +407,15 @@ class DecomposedVerifier::Impl {
     refine_cache_.clear();
     state_writes_memo_.clear();
     solver.reset_stats();
-    // One live incremental context per solver per top-level call: reuse
-    // within the call's query runs, bounded memory across a batch.
+    // One live incremental context per top-level call: reuse within the
+    // call's query runs, bounded memory across a batch.
     solver.reset_context();
-    // Route every solver's feasibility verdicts through the persistent
+    // Route the solver's feasibility verdicts through the persistent
     // cache. This is where the big warm win lives: most of a cold run's
     // sat_solves are summarization-time fork checks (Executor is_unsat),
     // and those are pure expression satisfiability — context-free, so the
     // memo is sound across runs and across pipelines.
     solver.set_feasibility_memo(cfg.decision_cache);
-    for (size_t w = 0; w < pool.size(); ++w) {
-      pool.at(w).set_feasibility_memo(cfg.decision_cache);
-    }
-  }
-
-  void begin_call_mt(const pipeline::Pipeline& pl) {
-    begin_call(pl);
-    mt_stats_.assign(jobs, VerifyStats{});
-    mt_paths_checked_.store(0, std::memory_order_relaxed);
-    mt_truncated_.store(false, std::memory_order_relaxed);
-    mt_budget_exhausted_.store(false, std::memory_order_relaxed);
-    pool.reset_stats();
-    pool.reset_contexts();
   }
 
   // -------------------------------------------------------------------
@@ -510,9 +430,9 @@ class DecomposedVerifier::Impl {
   // edit re-derive; every other path warm-hits. Domain tags keep the three
   // entry families (suspect decisions, feasibility speculations,
   // refinements) disjoint even for coincidentally identical material. The
-  // avoidance flags, job count, and incremental mode are deliberately NOT
-  // keyed: they are verdict-invariant by design, so any of those runs may
-  // share entries.
+  // avoidance flags and incremental mode are deliberately NOT keyed: they
+  // are verdict-invariant by design, so any of those runs may share
+  // entries.
   static constexpr uint64_t kFpSuspect = 0x5059ec7f1a7c15ull;
   static constexpr uint64_t kFpFeasible = 0xfea51b1e0a7c15ull;
   static constexpr uint64_t kFpRefine = 0x5ef19e0f2b7c15ull;
@@ -520,8 +440,7 @@ class DecomposedVerifier::Impl {
   uint64_t call_hi_ = 0, call_lo_ = 0;
   // Per-element content hash: the element's model program plus its port
   // wiring (downstream indices — the refine walk matches trace indices
-  // through exactly this wiring). Recomputed per call; read-only while
-  // workers run.
+  // through exactly this wiring). Recomputed per call.
   std::vector<uint64_t> elem_fp_;
 
   void begin_cache_context(const pipeline::Pipeline& pl) {
@@ -613,25 +532,24 @@ class DecomposedVerifier::Impl {
   // persistent cache: both polarities are reusable here — acting on Sat
   // needs no model, because the witness comes from a separate one-shot
   // solve on the winning path only.
-  solver::Result cached_feasible(const ExprRef& c, solver::Solver& sv,
-                                 VerifyStats& vstats) {
+  solver::Result cached_feasible(const ExprRef& c) {
     if (cfg.decision_cache != nullptr) {
       const cache::Fingerprint fp = feasible_fingerprint(c);
       bool sat = false;
       if (cfg.decision_cache->lookup_decision(fp.hi(), fp.lo(), &sat)) {
-        ++vstats.decision_cache_hits;
+        ++stats.decision_cache_hits;
         return sat ? solver::Result::Sat : solver::Result::Unsat;
       }
-      ++vstats.solver_queries;
-      const solver::Result r = sv.check_feasible(c);
+      ++stats.solver_queries;
+      const solver::Result r = solver.check_feasible(c);
       if (r != solver::Result::Unknown) {
         cfg.decision_cache->store_decision(fp.hi(), fp.lo(),
                                            r == solver::Result::Sat);
       }
       return r;
     }
-    ++vstats.solver_queries;
-    return sv.check_feasible(c);
+    ++stats.solver_queries;
+    return solver.check_feasible(c);
   }
 
   // Final per-call stats: the driver-level counters plus the solver-layer
@@ -660,112 +578,7 @@ class DecomposedVerifier::Impl {
       out.decision_cache_hits += cs.memo_hits;
     };
     add(solver.stats());
-    if (jobs > 1) {
-      for (size_t w = 0; w < pool.size(); ++w) add(pool.at(w).stats());
-    }
     return out;
-  }
-
-  void merge_mt_stats() {
-    for (const VerifyStats& s : mt_stats_) {
-      stats.elements_summarized += s.elements_summarized;
-      stats.summary_cache_hits += s.summary_cache_hits;
-      stats.segments_total += s.segments_total;
-      stats.suspects_found += s.suspects_found;
-      stats.suspects_eliminated += s.suspects_eliminated;
-      stats.composed_paths_checked += s.composed_paths_checked;
-      stats.solver_queries += s.solver_queries;
-      stats.instructions_interpreted += s.instructions_interpreted;
-      stats.forks += s.forks;
-      stats.refinements_attempted += s.refinements_attempted;
-      stats.refinements_certified += s.refinements_certified;
-      stats.refinements_eliminated += s.refinements_eliminated;
-      stats.suspects_core_discharged += s.suspects_core_discharged;
-      stats.decision_cache_hits += s.decision_cache_hits;
-      stats.refine_cache_hits += s.refine_cache_hits;
-    }
-    mt_stats_.assign(jobs, VerifyStats{});
-  }
-
-  // Step 1 fan-out: summarize every element of the pipeline concurrently.
-  // Distinct programs run on distinct workers; duplicates coalesce in the
-  // shared cache. Returns the per-element summaries in pipeline order.
-  std::vector<const ElementSummary*> prewarm(const pipeline::Pipeline& pl,
-                                             Precision precision) {
-    std::vector<const ElementSummary*> sums(pl.size(), nullptr);
-    parallel_for(*queue, pl.size(), [&](size_t e, size_t w) {
-      sums[e] = &summary_for(pl.element(e).model_program(), cfg.packet_len,
-                             precision, pool.at(w), mt_stats_[w]);
-    });
-    return sums;
-  }
-
-  void mt_walk(const pipeline::Pipeline& pl, ComposeState root,
-               const MtTerminalFn& on_terminal, const MtVisitFn& should_visit,
-               Precision precision) {
-    queue->submit([this, &pl, st = std::move(root), &on_terminal,
-                   &should_visit, precision](size_t w) mutable {
-      mt_walk_task(pl, 0, std::move(st), {}, w, on_terminal, should_visit,
-                   precision);
-    });
-    queue->wait_idle();
-    if (mt_truncated_.load(std::memory_order_relaxed)) truncated_ = true;
-    if (mt_budget_exhausted_.load(std::memory_order_relaxed)) {
-      budget_exhausted_ = true;
-    }
-    stats.composed_paths_checked +=
-        mt_paths_checked_.exchange(0, std::memory_order_relaxed);
-  }
-
-  void mt_walk_task(const pipeline::Pipeline& pl, size_t elem, ComposeState st,
-                    std::vector<uint32_t> order, size_t worker,
-                    const MtTerminalFn& on_terminal,
-                    const MtVisitFn& should_visit, Precision precision) {
-    if (mt_truncated_.load(std::memory_order_relaxed) ||
-        mt_budget_exhausted_.load(std::memory_order_relaxed)) {
-      return;
-    }
-    if (!should_visit(elem)) return;
-    VerifyStats& wstats = mt_stats_[worker];
-    const ElementSummary& sum =
-        summary_for(pl.element(elem).model_program(), st.bytes.size(), precision,
-                    pool.at(worker), wstats);
-    if (sum.truncated) {
-      mt_truncated_.store(true, std::memory_order_relaxed);
-      return;
-    }
-    for (uint32_t i = 0; i < sum.segments.size(); ++i) {
-      const Segment& g = sum.segments[i];
-      const bool is_emit = g.action == SegAction::Emit;
-      const std::optional<size_t> down =
-          is_emit ? pl.downstream(elem, g.port) : std::nullopt;
-      auto expanded = expand_segment(sum, g, st, elem, down, wstats);
-      if (!expanded) continue;
-      ComposeState next = std::move(*expanded);
-      std::vector<uint32_t> corder = order;
-      corder.push_back(i);
-      if (is_emit && down.has_value()) {
-        queue->submit([this, &pl, d = *down, n = std::move(next),
-                       o = std::move(corder), &on_terminal, &should_visit,
-                       precision](size_t w) mutable {
-          mt_walk_task(pl, d, std::move(n), std::move(o), w, on_terminal,
-                       should_visit, precision);
-        });
-        continue;
-      }
-      const uint64_t done =
-          mt_paths_checked_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (done > cfg.max_composed_paths) {
-        mt_budget_exhausted_.store(true, std::memory_order_relaxed);
-        return;
-      }
-      TerminalRecord t;
-      t.order = std::move(corder);
-      t.st = std::move(next);
-      t.elem = elem;
-      t.seg = &g;
-      on_terminal(worker, std::move(t));
-    }
   }
 
   // ---------------------------------------------------------------------
@@ -776,12 +589,11 @@ class DecomposedVerifier::Impl {
   // default (0) or a value some feasible execution of this element could
   // have written (writer inputs fully fresh — an arbitrary earlier packet).
   ExprRef kv_history_constraint(const pipeline::Pipeline& pl,
-                                const PathKvRead& pr, solver::Solver& sv,
-                                VerifyStats& vstats) {
+                                const PathKvRead& pr) {
     const symbex::KvReadRecord& read = pr.rec;
     const ElementSummary& sum =
         summary_for(pl.element(pr.elem).model_program(), pr.len,
-                    Precision::AcceptBounds, sv, vstats);
+                    Precision::AcceptBounds);
     ExprRef any = bv::mk_eq(read.value,
                             bv::mk_const(0, read.value->width()));
     for (const Segment& g : sum.segments) {
@@ -812,12 +624,11 @@ class DecomposedVerifier::Impl {
 
   // Decides a suspect's stitched constraint, applying the KV history
   // refinement when private-state reads are involved. On Sat, fills the
-  // model and state note. `sv`/`vstats` are the calling worker's instances.
+  // model and state note.
   solver::Result decide_suspect(const pipeline::Pipeline& pl,
                                 const ComposeState& st,
                                 bv::Assignment* model_out,
-                                std::string* state_note, solver::Solver& sv,
-                                VerifyStats& vstats) {
+                                std::string* state_note) {
     obs::ScopedSpan sp(obs::Cat::Stitch, "decide_suspect");
     if (sp) {
       std::string path;
@@ -841,7 +652,7 @@ class DecomposedVerifier::Impl {
       if (cfg.decision_cache->lookup_decision(fp.hi(), fp.lo(),
                                               &cached_sat) &&
           !cached_sat) {
-        ++vstats.decision_cache_hits;
+        ++stats.decision_cache_hits;
         return solver::Result::Unsat;
       }
     }
@@ -849,13 +660,13 @@ class DecomposedVerifier::Impl {
     // conjuncts all appear in this stitched constraint discharges the whole
     // suspect with zero solving — one core typically kills the entire
     // family of suspects stitched over the same infeasible prefix.
-    if (cfg.core_grouping && sv.discharge_by_core(st.constraint)) {
-      ++vstats.suspects_core_discharged;
+    if (cfg.core_grouping && solver.discharge_by_core(st.constraint)) {
+      ++stats.suspects_core_discharged;
       if (have_fp) cfg.decision_cache->store_decision(fp.hi(), fp.lo(), false);
       return solver::Result::Unsat;
     }
-    ++vstats.solver_queries;
-    solver::CheckResult r = sv.check(st.constraint);
+    ++stats.solver_queries;
+    solver::CheckResult r = solver.check(st.constraint);
     if (r.result != solver::Result::Sat || st.kv_reads.empty()) {
       if (r.result == solver::Result::Sat && model_out != nullptr) {
         *model_out = std::move(r.model);
@@ -869,10 +680,10 @@ class DecomposedVerifier::Impl {
     // whether the required values are reachable through any write history.
     ExprRef refined = st.constraint;
     for (const PathKvRead& pr : st.kv_reads) {
-      refined = bv::mk_land(refined, kv_history_constraint(pl, pr, sv, vstats));
+      refined = bv::mk_land(refined, kv_history_constraint(pl, pr));
     }
-    ++vstats.solver_queries;
-    solver::CheckResult r2 = sv.check(refined);
+    ++stats.solver_queries;
+    solver::CheckResult r2 = solver.check(refined);
     if (r2.result == solver::Result::Sat) {
       if (model_out != nullptr) *model_out = std::move(r2.model);
       if (state_note != nullptr) {
@@ -910,22 +721,19 @@ class DecomposedVerifier::Impl {
   };
 
   // Exact (unrolled) summaries for the refinement come from a dedicated
-  // cache whose executor carries the refinement's wall-clock budget: a
-  // loop-heavy element that cannot be unrolled within the budget yields a
-  // truncated summary (-> the refinement gives up as Unknown) instead of
-  // hanging, and never pollutes the unbudgeted unroll cache.
+  // cache whose executor carries the refinement's work caps: a loop-heavy
+  // element that cannot be unrolled within them yields a truncated summary
+  // (-> the refinement gives up as Unknown) instead of hanging, and never
+  // pollutes the uncapped unroll cache.
   symbex::SharedSummaryCache& cache_refine_mem() {
     return cfg.shared_caches ? cfg.shared_caches->refine : own_caches_.refine;
   }
 
-  const ElementSummary& refine_summary(const ir::Program& prog, size_t len,
-                                       solver::Solver& sv,
-                                       VerifyStats& vstats) {
+  const ElementSummary& refine_summary(const ir::Program& prog, size_t len) {
     symbex::ExecOptions eo;
     eo.loop_mode = symbex::LoopMode::Unroll;
     eo.fork_check = symbex::ForkCheck::Solver;
-    eo.solver = &sv;
-    eo.time_budget_seconds = cfg.refine_time_budget_seconds;
+    eo.solver = &solver;
     if (cfg.refine_max_instructions != 0) {
       eo.max_instructions = cfg.refine_max_instructions;
     }
@@ -934,12 +742,12 @@ class DecomposedVerifier::Impl {
     bool was_miss = false;
     const ElementSummary& s = cache_refine_mem().get(prog, len, exec, &was_miss);
     if (was_miss) {
-      ++vstats.elements_summarized;
-      vstats.segments_total += s.segments.size();
-      vstats.instructions_interpreted += s.stats.instructions_interpreted;
-      vstats.forks += s.stats.forks;
+      ++stats.elements_summarized;
+      stats.segments_total += s.segments.size();
+      stats.instructions_interpreted += s.stats.instructions_interpreted;
+      stats.forks += s.stats.forks;
     } else {
-      ++vstats.summary_cache_hits;
+      ++stats.summary_cache_hits;
     }
     return s;
   }
@@ -948,12 +756,10 @@ class DecomposedVerifier::Impl {
                                        const TerminalSpec& tspec,
                                        const SymPacket& entry,
                                        const ExprRef& root_constraint,
-                                       const std::vector<size_t>& trace,
-                                       solver::Solver& sv,
-                                       VerifyStats& vstats) {
+                                       const std::vector<size_t>& trace) {
     RefineOutcome out;
     if (!cfg.unroll_fallback || trace.empty()) return out;
-    ++vstats.refinements_attempted;
+    ++stats.refinements_attempted;
     obs::ScopedSpan sp(obs::Cat::Refine, "refine_path");
     if (sp) {
       std::string path;
@@ -974,7 +780,7 @@ class DecomposedVerifier::Impl {
           if (out.res == solver::Result::Sat || gave_up) return;
           const size_t elem = trace[depth];
           const ElementSummary& sum = refine_summary(
-              pl.element(elem).model_program(), st.bytes.size(), sv, vstats);
+              pl.element(elem).model_program(), st.bytes.size());
           if (sum.truncated) {
             gave_up = true;
             return;
@@ -989,7 +795,7 @@ class DecomposedVerifier::Impl {
               // Interior step: follow only Emit edges into the trace's
               // next element.
               if (!is_emit || !down || *down != trace[depth + 1]) continue;
-              auto expanded = expand_segment(sum, g, st, elem, down, vstats);
+              auto expanded = expand_segment(sum, g, st, elem, down);
               if (!expanded) continue;
               if (++paths > cfg.max_refine_paths) {
                 gave_up = true;
@@ -1007,7 +813,7 @@ class DecomposedVerifier::Impl {
             // them was not).
             if (is_emit && down.has_value()) continue;  // not a terminal
             if (!terminal_violates(tspec, g.action, g.port)) continue;
-            auto expanded = expand_segment(sum, g, st, elem, down, vstats);
+            auto expanded = expand_segment(sum, g, st, elem, down);
             if (!expanded) continue;
             if (++paths > cfg.max_refine_paths) {
               gave_up = true;
@@ -1016,13 +822,13 @@ class DecomposedVerifier::Impl {
             bv::Assignment model;
             std::string note;
             const solver::Result r =
-                decide_suspect(pl, *expanded, &model, &note, sv, vstats);
+                decide_suspect(pl, *expanded, &model, &note);
             if (r == solver::Result::Unknown) {
               solver_unknown = true;
               continue;
             }
             if (r == solver::Result::Unsat) {
-              ++vstats.suspects_eliminated;
+              ++stats.suspects_eliminated;
               continue;
             }
             out.res = solver::Result::Sat;
@@ -1044,12 +850,12 @@ class DecomposedVerifier::Impl {
         };
     go(0, std::move(root));
     if (out.res == solver::Result::Sat) {
-      ++vstats.refinements_certified;
+      ++stats.refinements_certified;
       return out;
     }
     if (gave_up || solver_unknown) return out;  // Unknown
     out.res = solver::Result::Unsat;  // every exact exit infeasible
-    ++vstats.refinements_eliminated;
+    ++stats.refinements_eliminated;
     return out;
   }
 
@@ -1064,7 +870,6 @@ class DecomposedVerifier::Impl {
                                      const SymPacket& entry,
                                      const ExprRef& root_constraint,
                                      const std::vector<size_t>& trace,
-                                     solver::Solver& sv, VerifyStats& vstats,
                                      bool* first) {
     const auto it = refine_cache_.find(trace);
     if (it != refine_cache_.end()) {
@@ -1083,12 +888,11 @@ class DecomposedVerifier::Impl {
       bool sat = false;
       RefineOutcome ro;
       if (cfg.decision_cache->lookup_refine(fp.hi(), fp.lo(), &sat, &ro.ce)) {
-        ++vstats.refine_cache_hits;
+        ++stats.refine_cache_hits;
         ro.res = sat ? solver::Result::Sat : solver::Result::Unsat;
         return refine_cache_.emplace(trace, std::move(ro)).first->second;
       }
-      ro = refine_summarized_path(pl, tspec, entry, root_constraint, trace,
-                                  sv, vstats);
+      ro = refine_summarized_path(pl, tspec, entry, root_constraint, trace);
       if (ro.res != solver::Result::Unknown) {
         cfg.decision_cache->store_refine(
             fp.hi(), fp.lo(), ro.res == solver::Result::Sat, ro.ce);
@@ -1097,8 +901,7 @@ class DecomposedVerifier::Impl {
     }
     return refine_cache_
         .emplace(trace, refine_summarized_path(pl, tspec, entry,
-                                               root_constraint, trace, sv,
-                                               vstats))
+                                               root_constraint, trace))
         .first->second;
   }
 
@@ -1145,7 +948,7 @@ class DecomposedVerifier::Impl {
     if (!filter[elem] || truncated_ || budget_exhausted_) return;
     const ElementSummary& sum =
         summary_for(pl.element(elem).model_program(), st.bytes.size(),
-                    Precision::AcceptBounds, solver, stats);
+                    Precision::AcceptBounds);
     if (sum.truncated) {
       truncated_ = true;
       return;
@@ -1229,16 +1032,7 @@ class DecomposedVerifier::Impl {
           spec.element.empty() || pl.element(e).name() == spec.element;
     }
 
-    // Step 1 (parallel engine: fanned out across workers; the enumeration
-    // below is inherently sequential — every query depends on the keys
-    // found so far — so it runs identically at any job count).
-    if (jobs > 1) {
-      begin_call_mt(pl);
-      prewarm(pl, Precision::AcceptBounds);
-      merge_mt_stats();
-    } else {
-      begin_call(pl);
-    }
+    begin_call(pl);
 
     // Report scaffolding: every table of every counted element appears in
     // the report, even when provably empty. (Table declarations don't
@@ -1263,8 +1057,7 @@ class DecomposedVerifier::Impl {
     ComposeState root = root_state(entry);
     root.constraint = predicate(entry);
 
-    // Steps 1+2: stitch every insert site onto its pipeline paths
-    // (summaries come from the cache prewarm above when jobs > 1).
+    // Steps 1+2: stitch every insert site onto its pipeline paths.
     std::vector<PathInsertSite> sites;
     {
       const std::vector<bool> filter = reachability_filter(pl, counted);
@@ -1309,9 +1102,8 @@ class DecomposedVerifier::Impl {
       // site's refined constraint (guard ∧ KV write history, fixed per
       // site) is passed as assumptions — switching sites retracts it for
       // free — while everything learnt finding or excluding one key keeps
-      // pruning the next query. Enumeration is sequential-by-design on the
-      // main solver at any job count and the context starts fresh here, so
-      // the models (hence packet bytes) are byte-identical at any --jobs.
+      // pruning the next query. The context starts fresh here, so the
+      // models (hence packet bytes) depend only on this table's queries.
       std::unique_ptr<solver::SolverContext> ectx;
       if (cfg.incremental) {
         ectx = std::make_unique<solver::SolverContext>(solver);
@@ -1325,7 +1117,7 @@ class DecomposedVerifier::Impl {
           refined = site->guard;
           for (const PathKvRead& pr : site->kv_reads) {
             refined = bv::mk_land(
-                refined, kv_history_constraint(pl, pr, solver, stats));
+                refined, kv_history_constraint(pl, pr));
           }
         }
         for (;;) {
@@ -1350,7 +1142,7 @@ class DecomposedVerifier::Impl {
             ComposeState cs;
             cs.constraint = q;
             cs.kv_reads = site->kv_reads;
-            r = decide_suspect(pl, cs, &model, nullptr, solver, stats);
+            r = decide_suspect(pl, cs, &model, nullptr);
           }
           if (r == solver::Result::Unsat) break;  // site dry; next site
           if (r == solver::Result::Unknown) {
@@ -1425,8 +1217,7 @@ class DecomposedVerifier::Impl {
   // infeasibility is NOT consulted, so the sets over-approximate — safe,
   // since Step 2 still decides every suspect with the stitched constraint.
   std::vector<std::set<size_t>> reachable_entry_lengths(
-      const pipeline::Pipeline& pl, solver::Solver& sv, VerifyStats& vstats,
-      bool* any_truncated) {
+      const pipeline::Pipeline& pl, bool* any_truncated) {
     std::vector<std::set<size_t>> lens(pl.size());
     std::vector<std::pair<size_t, size_t>> work;
     const auto push = [&](size_t e, size_t len) {
@@ -1438,7 +1229,7 @@ class DecomposedVerifier::Impl {
       work.pop_back();
       const ElementSummary& sum =
           summary_for(pl.element(e).model_program(), len,
-                      Precision::AcceptBounds, sv, vstats);
+                      Precision::AcceptBounds);
       if (sum.truncated) {
         *any_truncated = true;
         continue;
@@ -1502,290 +1293,6 @@ class DecomposedVerifier::Impl {
     return root;
   }
 
-  // ---------------------------------------------------------------------
-  // Parallel property drivers
-  // ---------------------------------------------------------------------
-
-  // Shared by the crash-freedom and reachability drivers: walk, decide
-  // every suspect terminal on the worker that reached it, then reduce the
-  // outcomes in sequential DFS order (sort by address) so eliminations,
-  // truncation, and the counterexample list come out exactly as at jobs=1.
-  // `is_suspect` selects the property's suspect terminals and reports the
-  // trap kind for the counterexample. Returns the violated flag.
-  // `is_suspect` may set *sat_is_unknown for suspects whose Sat outcome
-  // cannot certify a violation (over-approximated constraints): those
-  // degrade to Unknown instead of Violated.
-  bool decide_suspects_mt(
-      const pipeline::Pipeline& pl, ComposeState root, const SymPacket& entry,
-      const MtVisitFn& should_visit, Precision precision,
-      const std::function<bool(const TerminalRecord&, size_t worker,
-                               ir::TrapKind* trap, bool* sat_is_unknown)>&
-          is_suspect,
-      std::vector<Counterexample>* counterexamples,
-      const TerminalSpec* refine_tspec = nullptr,
-      const ExprRef* refine_root = nullptr) {
-    struct Outcome {
-      std::vector<uint32_t> order;
-      solver::Result res = solver::Result::Unknown;
-      bool sat_is_unknown = false;
-      Counterexample ce;
-      std::vector<size_t> trace;  // for the unroll refinement
-    };
-    std::mutex out_mu;
-    std::vector<Outcome> outcomes;
-    mt_walk(
-        pl, std::move(root),
-        [&](size_t w, TerminalRecord&& t) {
-          ir::TrapKind trap = ir::TrapKind::Unreachable;
-          bool sat_unknown = false;
-          if (!is_suspect(t, w, &trap, &sat_unknown)) return;
-          bv::Assignment model;
-          std::string note;
-          const solver::Result r = decide_suspect(pl, t.st, &model, &note,
-                                                  pool.at(w), mt_stats_[w]);
-          Outcome o;
-          o.order = std::move(t.order);
-          o.res = r;
-          o.sat_is_unknown = sat_unknown;
-          if (r == solver::Result::Sat && !sat_unknown) {
-            o.ce = make_counterexample(pl, entry, t.st, model, trap,
-                                       std::move(note));
-          } else if (r == solver::Result::Sat) {
-            o.trace = t.st.elem_trace;
-          }
-          std::lock_guard<std::mutex> lock(out_mu);
-          outcomes.push_back(std::move(o));
-        },
-        should_visit, precision);
-    std::sort(outcomes.begin(), outcomes.end(), [](const Outcome& a,
-                                                   const Outcome& b) {
-      return a.order < b.order;
-    });
-    merge_mt_stats();
-    bool violated = false;
-    for (Outcome& o : outcomes) {
-      if (o.res == solver::Result::Unsat) {
-        ++stats.suspects_eliminated;
-        continue;
-      }
-      if (o.res == solver::Result::Sat && o.sat_is_unknown) {
-        // Uncertifiable summarized-loop suspect: refine on the main
-        // solver, in DFS order — outcomes stay identical at any job count.
-        if (refine_tspec != nullptr && refine_root != nullptr) {
-          bool first = false;
-          const RefineOutcome& ro =
-              refine_cached(pl, *refine_tspec, entry, *refine_root, o.trace,
-                            solver, stats, &first);
-          if (ro.res == solver::Result::Sat) {
-            violated = true;
-            if (first) counterexamples->push_back(ro.ce);
-            continue;
-          }
-          if (ro.res == solver::Result::Unsat) continue;  // eliminated
-        }
-        truncated_ = true;
-        continue;
-      }
-      if (o.res == solver::Result::Unknown) {
-        truncated_ = true;
-        continue;
-      }
-      violated = true;
-      counterexamples->push_back(std::move(o.ce));
-    }
-    return violated;
-  }
-
-  CrashFreedomReport crash_freedom_mt(const pipeline::Pipeline& pl) {
-    Timer timer;
-    begin_call_mt(pl);
-    CrashFreedomReport report;
-
-    // Step 1, fanned out: one summarization task per element at the entry
-    // length. The length fixpoint below mostly hits that warm cache; it
-    // only summarizes extra (element, length) pairs downstream of strips.
-    prewarm(pl, Precision::AcceptBounds);
-    std::vector<bool> has_suspect(pl.size(), false);
-    bool any_truncated = false;
-    const std::vector<std::set<size_t>> lens =
-        reachable_entry_lengths(pl, pool.at(0), mt_stats_[0], &any_truncated);
-    for (size_t e = 0; e < pl.size(); ++e) {
-      for (const size_t len : lens[e]) {
-        const ElementSummary& sum =
-            summary_for(pl.element(e).model_program(), len,
-                        Precision::AcceptBounds, pool.at(0), mt_stats_[0]);
-        if (sum.truncated) any_truncated = true;
-        for (const Segment& g : sum.segments) {
-          if (g.action != SegAction::Trap) continue;
-          ++mt_stats_[0].suspects_found;
-          if (!g.constraint->is_false()) has_suspect[e] = true;
-        }
-      }
-    }
-    if (any_truncated) {
-      merge_mt_stats();
-      report.verdict = Verdict::Unknown;
-      report.stats = snapshot_stats();
-      report.seconds = timer.seconds();
-      return report;
-    }
-    if (std::none_of(has_suspect.begin(), has_suspect.end(),
-                     [](bool b) { return b; })) {
-      merge_mt_stats();
-      report.verdict = Verdict::Proven;
-      report.stats = snapshot_stats();
-      report.seconds = timer.seconds();
-      return report;
-    }
-
-    // Step 2, fanned out: walk forks per feasible edge; each suspect trap
-    // is decided on the worker that reached it, with that worker's solver.
-    // Sat traps on summarized-loop paths refine in the DFS-ordered reduce
-    // (see sat_is_unknown), identically to the sequential engine.
-    const std::vector<bool> filter = reachability_filter(pl, has_suspect);
-    const SymPacket entry = SymPacket::symbolic(cfg.packet_len, "in");
-    TerminalSpec crash_tspec;
-    crash_tspec.drop_is_violation = false;
-    crash_tspec.trap_is_violation = true;
-    const ExprRef crash_root = bv::mk_bool(true);
-    const bool violated = decide_suspects_mt(
-        pl, root_state(entry), entry, [&](size_t e) { return filter[e]; },
-        Precision::AcceptBounds,
-        [](const TerminalRecord& t, size_t /*w*/, ir::TrapKind* trap,
-           bool* sat_unknown) {
-          if (t.seg->action != SegAction::Trap) return false;
-          *trap = t.seg->trap;
-          *sat_unknown = t.st.count_is_bound;
-          return true;
-        },
-        &report.counterexamples, &crash_tspec, &crash_root);
-
-    if (violated) {
-      report.verdict = Verdict::Violated;
-    } else if (truncated_ || budget_exhausted_) {
-      report.verdict = Verdict::Unknown;
-    } else {
-      report.verdict = Verdict::Proven;
-    }
-    report.stats = snapshot_stats();
-    report.seconds = timer.seconds();
-    return report;
-  }
-
-  InstructionBoundReport instruction_bound_mt(const pipeline::Pipeline& pl) {
-    Timer timer;
-    begin_call_mt(pl);
-    InstructionBoundReport report;
-    prewarm(pl, Precision::AcceptBounds);
-
-    const SymPacket entry = SymPacket::symbolic(cfg.packet_len, "in");
-    // Terminals are buffered before deciding, so peak memory is O(paths)
-    // where jobs=1 streams — per terminal just the DFS address plus refs
-    // into the (immortal, interned) constraint DAG. Acceptable up to the
-    // path budget; revisit with streamed batches if budgets grow.
-    struct Rec {
-      std::vector<uint32_t> order;
-      uint64_t total = 0;
-      bool is_bound = false;
-      ExprRef constraint;
-    };
-    std::mutex rec_mu;
-    std::vector<Rec> recs;
-    mt_walk(
-        pl, root_state(entry),
-        [&](size_t /*w*/, TerminalRecord&& t) {
-          Rec r;
-          r.order = std::move(t.order);
-          r.total = t.st.count;
-          r.is_bound = t.st.count_is_bound;
-          r.constraint = t.st.constraint;
-          std::lock_guard<std::mutex> lock(rec_mu);
-          recs.push_back(std::move(r));
-        },
-        [](size_t) { return true; }, Precision::AcceptBounds);
-
-    std::sort(recs.begin(), recs.end(),
-              [](const Rec& a, const Rec& b) { return a.order < b.order; });
-
-    // Batched speculative decision with the sequential engine's exact
-    // semantics. The jobs=1 driver walks terminals in DFS order, solving
-    // only when a terminal's count could improve the running max. Here we
-    // gather the next batch of candidates under the current max, decide
-    // them concurrently, then apply results in DFS order — dropping any
-    // speculative result whose candidate the sequential engine would have
-    // skipped (its count no longer beats the max by apply time). Verdict,
-    // bound, and witness are bit-identical to jobs=1; only the (wasted)
-    // speculation differs.
-    uint64_t best = 0;
-    bool best_is_bound = false;
-    bv::ExprRef best_constraint;
-    bool saw_unknown = false;
-    const size_t batch_max = std::max<size_t>(4 * jobs, 16);
-    size_t cursor = 0;
-    while (cursor < recs.size()) {
-      std::vector<size_t> batch;
-      batch.reserve(batch_max);
-      size_t next_cursor = recs.size();
-      for (size_t j = cursor; j < recs.size(); ++j) {
-        if (recs[j].total > best) {
-          batch.push_back(j);
-          if (batch.size() == batch_max) {
-            next_cursor = j + 1;
-            break;
-          }
-        }
-      }
-      if (batch.empty()) break;
-      std::vector<solver::Result> res(batch.size(), solver::Result::Unknown);
-      parallel_for(*queue, batch.size(), [&](size_t bi, size_t w) {
-        res[bi] = cached_feasible(recs[batch[bi]].constraint, pool.at(w),
-                                  mt_stats_[w]);
-      });
-      for (size_t bi = 0; bi < batch.size(); ++bi) {
-        Rec& r = recs[batch[bi]];
-        if (r.total <= best) continue;  // wasted speculation; seq skipped it
-        if (res[bi] == solver::Result::Unsat) continue;
-        if (res[bi] == solver::Result::Unknown) {
-          saw_unknown = true;
-          continue;
-        }
-        best = r.total;
-        best_is_bound = r.is_bound;
-        best_constraint = r.constraint;
-      }
-      cursor = next_cursor;
-    }
-    merge_mt_stats();
-
-    report.max_instructions = best;
-    report.bound_is_exact = !best_is_bound;
-    // The witness model comes from a one-shot solve on the main solver —
-    // deterministic in the constraint alone, so the packet bytes match
-    // jobs=1 exactly no matter which worker decided feasibility. Under a
-    // finite conflict budget that fresh solve can come back Unknown even
-    // though the incremental context already proved the path feasible; no
-    // witness is derivable then, so the verdict honestly degrades.
-    const bool already_unknown =
-        truncated_ || budget_exhausted_ || saw_unknown;
-    solver::CheckResult witness_model;
-    if (best_constraint && !already_unknown) {
-      witness_model = solver.check(best_constraint);
-    }
-    if (already_unknown ||
-        (best_constraint &&
-         witness_model.result != solver::Result::Sat)) {
-      report.verdict = Verdict::Unknown;
-    } else {
-      report.verdict = Verdict::Proven;
-      net::Packet witness = entry.to_concrete(witness_model.model);
-      report.witness_instructions = replay_instruction_count(pl, witness);
-      report.witness = std::move(witness);
-    }
-    report.stats = snapshot_stats();
-    report.seconds = timer.seconds();
-    return report;
-  }
-
   // True when a composed terminal (Drop, Trap, or Emit leaving the
   // pipeline at `port`) violates the spec.
   static bool terminal_violates(const TerminalSpec& spec, SegAction action,
@@ -1824,102 +1331,9 @@ class DecomposedVerifier::Impl {
     return count_is_bound;
   }
 
-  ReachabilityReport reach_never_mt(const pipeline::Pipeline& pl,
-                                    const InputPredicate& predicate,
-                                    const TerminalSpec& tspec) {
-    Timer timer;
-    begin_call_mt(pl);
-    ReachabilityReport report;
-
-    const SymPacket entry = SymPacket::symbolic(cfg.packet_len, "in");
-    ComposeState root = root_state(entry);
-    root.constraint = predicate(entry);
-    if (root.constraint->is_false()) {
-      report.verdict = Verdict::Proven;  // vacuous: no packet matches
-      report.seconds = timer.seconds();
-      return report;
-    }
-    const ExprRef root_constraint = root.constraint;
-    prewarm(pl, Precision::ExactDropsTraps);
-    const bool violated = decide_suspects_mt(
-        pl, std::move(root), entry, [](size_t) { return true; },
-        Precision::ExactDropsTraps,
-        [this, &tspec](const TerminalRecord& t, size_t w, ir::TrapKind* trap,
-                       bool* sat_unknown) {
-          if (!terminal_violates(tspec, t.seg->action, t.seg->port)) {
-            return false;
-          }
-          ++mt_stats_[w].suspects_found;
-          *trap = t.seg->action == SegAction::Trap ? t.seg->trap
-                                                   : ir::TrapKind::Unreachable;
-          *sat_unknown =
-              sat_is_unknown(tspec, t.seg->action, t.st.count_is_bound);
-          return true;
-        },
-        &report.counterexamples, &tspec, &root_constraint);
-
-    if (violated) {
-      report.verdict = Verdict::Violated;
-    } else if (truncated_ || budget_exhausted_) {
-      report.verdict = Verdict::Unknown;
-    } else {
-      report.verdict = Verdict::Proven;
-    }
-    report.stats = snapshot_stats();
-    report.seconds = timer.seconds();
-    return report;
-  }
-
-  ComposedPaths enumerate_paths_mt(const pipeline::Pipeline& pl) {
-    begin_call_mt(pl);
-    ComposedPaths out;
-    out.entry = SymPacket::symbolic(cfg.packet_len, "in");
-    prewarm(pl, Precision::ExactAll);
-
-    struct Item {
-      std::vector<uint32_t> order;
-      ComposedPath path;
-    };
-    std::mutex item_mu;
-    std::vector<Item> items;
-    mt_walk(
-        pl, root_state(out.entry),
-        [&](size_t /*w*/, TerminalRecord&& t) {
-          Item it;
-          it.order = std::move(t.order);
-          it.path.constraint = t.st.constraint;
-          for (const size_t e : t.st.elem_trace) {
-            it.path.element_path.push_back(pl.element(e).name());
-          }
-          it.path.action = t.seg->action;
-          it.path.port = t.seg->port;
-          it.path.trap = t.seg->trap;
-          it.path.instr_count = t.st.count;
-          it.path.count_is_bound = t.st.count_is_bound;
-          std::lock_guard<std::mutex> lock(item_mu);
-          items.push_back(std::move(it));
-        },
-        [](size_t) { return true; }, Precision::ExactAll);
-
-    std::sort(items.begin(), items.end(),
-              [](const Item& a, const Item& b) { return a.order < b.order; });
-    merge_mt_stats();
-    out.paths.reserve(items.size());
-    for (Item& it : items) out.paths.push_back(std::move(it.path));
-    out.complete = !truncated_ && !budget_exhausted_;
-    return out;
-  }
-
   std::unordered_map<const Segment*, std::vector<ExprRef>> aux_cache_;
-  std::mutex aux_mu_;
   bool truncated_ = false;
   bool budget_exhausted_ = false;
-
-  // Parallel-engine state, reset per call.
-  std::vector<VerifyStats> mt_stats_;
-  std::atomic<uint64_t> mt_paths_checked_{0};
-  std::atomic<bool> mt_truncated_{false};
-  std::atomic<bool> mt_budget_exhausted_{false};
 };
 
 // ---------------------------------------------------------------------
@@ -1953,7 +1367,6 @@ CrashFreedomReport DecomposedVerifier::verify_crash_freedom(
     const pipeline::Pipeline& pl) {
   Impl& im = *impl_;
   obs::ScopedSpan phase(obs::Cat::Phase, "crash_freedom");
-  if (im.jobs > 1) return im.crash_freedom_mt(pl);
   Timer timer;
   im.begin_call(pl);
   CrashFreedomReport report;
@@ -1964,13 +1377,13 @@ CrashFreedomReport DecomposedVerifier::verify_crash_freedom(
   // unconstrained element input).
   std::vector<bool> has_suspect(pl.size(), false);
   bool any_truncated = false;
-  const std::vector<std::set<size_t>> lens = im.reachable_entry_lengths(
-      pl, im.solver, im.stats, &any_truncated);
+  const std::vector<std::set<size_t>> lens =
+      im.reachable_entry_lengths(pl, &any_truncated);
   for (size_t e = 0; e < pl.size(); ++e) {
     for (const size_t len : lens[e]) {
       const ElementSummary& sum =
           im.summary_for(pl.element(e).model_program(), len,
-                         Impl::Precision::AcceptBounds, im.solver, im.stats);
+                         Impl::Precision::AcceptBounds);
       if (sum.truncated) any_truncated = true;
       for (const Segment& g : sum.segments) {
         if (g.action != SegAction::Trap) continue;
@@ -2018,7 +1431,7 @@ CrashFreedomReport DecomposedVerifier::verify_crash_freedom(
         bv::Assignment model;
         std::string note;
         const solver::Result r =
-            im.decide_suspect(pl, st, &model, &note, im.solver, im.stats);
+            im.decide_suspect(pl, st, &model, &note);
         if (r == solver::Result::Unsat) {
           ++im.stats.suspects_eliminated;
           return;
@@ -2031,7 +1444,7 @@ CrashFreedomReport DecomposedVerifier::verify_crash_freedom(
           bool first = false;
           const Impl::RefineOutcome& ro =
               im.refine_cached(pl, crash_tspec, entry, crash_root,
-                               st.elem_trace, im.solver, im.stats, &first);
+                               st.elem_trace, &first);
           if (ro.res == solver::Result::Sat) {
             violated = true;
             if (first) report.counterexamples.push_back(ro.ce);
@@ -2063,7 +1476,6 @@ InstructionBoundReport DecomposedVerifier::verify_instruction_bound(
     const pipeline::Pipeline& pl) {
   Impl& im = *impl_;
   obs::ScopedSpan phase(obs::Cat::Phase, "instruction_bound");
-  if (im.jobs > 1) return im.instruction_bound_mt(pl);
   Timer timer;
   im.begin_call(pl);
   InstructionBoundReport report;
@@ -2088,7 +1500,7 @@ InstructionBoundReport DecomposedVerifier::verify_instruction_bound(
         // prefixes, exactly the incremental context's workload. The witness
         // model is derived once at the end, for the winning path only.
         const solver::Result r =
-            im.cached_feasible(st.constraint, im.solver, im.stats);
+            im.cached_feasible(st.constraint);
         if (r == solver::Result::Unsat) return;
         if (r == solver::Result::Unknown) {
           saw_unknown = true;
@@ -2103,9 +1515,11 @@ InstructionBoundReport DecomposedVerifier::verify_instruction_bound(
 
   report.max_instructions = best;
   report.bound_is_exact = !best_is_bound;
-  // See instruction_bound_mt: the deterministic one-shot witness solve can
-  // exhaust a finite conflict budget even though feasibility was already
-  // decided — without a model there is no witness, hence no proof claim.
+  // The witness model comes from a one-shot solve, deterministic in the
+  // constraint alone. Under a finite conflict budget that solve can come
+  // back Unknown even though the incremental context already proved the
+  // path feasible; without a model there is no witness, hence no proof
+  // claim.
   const bool already_unknown = !complete || im.truncated_ || saw_unknown;
   solver::CheckResult witness_model;
   if (best_constraint && !already_unknown) {
@@ -2132,7 +1546,6 @@ InstructionBoundReport DecomposedVerifier::verify_instruction_bound(
 ComposedPaths DecomposedVerifier::enumerate_paths(
     const pipeline::Pipeline& pl) {
   Impl& im = *impl_;
-  if (im.jobs > 1) return im.enumerate_paths_mt(pl);
   im.begin_call(pl);
   ComposedPaths out;
   out.entry = SymPacket::symbolic(im.cfg.packet_len, "in");
@@ -2175,7 +1588,6 @@ ReachabilityReport DecomposedVerifier::verify_reach_never(
     const TerminalSpec& tspec) {
   Impl& im = *impl_;
   obs::ScopedSpan phase(obs::Cat::Phase, "reach_never");
-  if (im.jobs > 1) return im.reach_never_mt(pl, predicate, tspec);
   Timer timer;
   im.begin_call(pl);
   ReachabilityReport report;
@@ -2199,7 +1611,7 @@ ReachabilityReport DecomposedVerifier::verify_reach_never(
         bv::Assignment model;
         std::string note;
         const solver::Result r =
-            im.decide_suspect(pl, st, &model, &note, im.solver, im.stats);
+            im.decide_suspect(pl, st, &model, &note);
         if (r == solver::Result::Unsat) {
           ++im.stats.suspects_eliminated;
           return;
@@ -2215,7 +1627,7 @@ ReachabilityReport DecomposedVerifier::verify_reach_never(
           bool first = false;
           const Impl::RefineOutcome& ro =
               im.refine_cached(pl, tspec, entry, root_constraint,
-                               st.elem_trace, im.solver, im.stats, &first);
+                               st.elem_trace, &first);
           if (ro.res == solver::Result::Sat) {
             violated = true;
             if (first) report.counterexamples.push_back(ro.ce);

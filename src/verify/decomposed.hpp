@@ -62,46 +62,28 @@ struct DecomposedConfig {
   // just that element trace with loops concretely unrolled, spending at
   // most this many exact composed paths before giving up as Unknown.
   uint64_t max_refine_paths = 1u << 14;
-  // Wall-clock budget for each exact (unrolled) element summarization the
-  // refinement requests. Unrolling a loop-heavy element at MTU-ish packet
-  // lengths can blow up (the reason ExactAll is not the default precision)
-  // — past the budget the refinement honestly gives up as Unknown instead
-  // of hanging. 0 = unlimited.
-  double refine_time_budget_seconds = 5.0;
-  // Deterministic alternative to the wall-clock budget: cap the
-  // interpreted-instruction count of each refinement summarization
-  // (exceeding it truncates the summary -> the refinement gives up as
-  // Unknown). Unlike the seconds budget, the outcome cannot depend on
-  // machine load or scheduling — the differential fuzz harness runs with
-  // this cap and the seconds budget off so its verdicts are byte-identical
-  // across runs, hosts, and --jobs values. 0 = no instruction cap.
-  uint64_t refine_max_instructions = 0;
+  // Work cap on each exact (unrolled) element summarization the refinement
+  // requests: the interpreted-instruction count. Unrolling a loop-heavy
+  // element at MTU-ish packet lengths can blow up (the reason ExactAll is
+  // not the default precision) — exceeding the cap truncates the summary
+  // and the refinement honestly gives up as Unknown instead of hanging.
+  // Being a count, not a clock, the outcome never depends on machine load.
+  // 0 = no instruction cap.
+  uint64_t refine_max_instructions = 5'000'000;
   // Companion cap on the solver fork-checks those summarizations issue
   // (0 = unlimited). Refinement unrolls with ForkCheck::Solver, so its
   // wall cost is dominated by per-fork feasibility queries — an
   // instruction cap alone can still admit hours of deterministic work on
   // an option-walking loop. Deterministic like the instruction cap;
   // exceeding it truncates the summary (refinement gives up as Unknown).
-  uint64_t refine_max_solver_checks = 0;
-  // Worker threads for the parallel engine: Step 1 summarizes elements
-  // concurrently and Step 2 walks/decides stitched paths concurrently, each
-  // worker with its own solver instance. 1 keeps the seed's sequential
-  // engine; 0 means one worker per hardware thread. Verdicts, suspect sets,
-  // and counterexample paths are identical at any value (within budgets).
-  size_t jobs = 1;
-  // Incremental assumption-based solving (default on): every solver —
-  // sequential and per-worker — keeps a live SAT context across the
-  // query-heavy inner loops (Step-2 stitched decisions, bounded-state key
-  // enumeration, unroll-refinement re-walks, symbex fork checks) instead
-  // of re-blasting each query from scratch. Verdicts, counterexamples, and
-  // packet bytes stay byte-identical at any `jobs` value either way; off
-  // reproduces the pre-incremental one-shot behavior for A/B measurement.
-  // Caveat, analogous to the path-budget one on the parallel walk: if a
-  // query actually exhausts max_solver_conflicts, WHETHER it does can
-  // depend on the live context's history, which at jobs > 1 depends on
-  // scheduling — a budget-exhaustion Unknown is sound but not
-  // reproducible. Within the budget (tier-1 workloads sit orders of
-  // magnitude below the default) results are fully deterministic.
+  uint64_t refine_max_solver_checks = 4096;
+  // Incremental assumption-based solving (default on): the solver keeps a
+  // live SAT context across the query-heavy inner loops (Step-2 stitched
+  // decisions, bounded-state key enumeration, unroll-refinement re-walks,
+  // symbex fork checks) instead of re-blasting each query from scratch.
+  // Verdicts, counterexamples, and packet bytes stay byte-identical either
+  // way; off reproduces the pre-incremental one-shot behavior for A/B
+  // measurement.
   bool incremental = true;
   // Query-avoidance layers (default all on), each independently
   // toggleable for A/B measurement and fault isolation — the tab10 bench
@@ -220,10 +202,7 @@ class DecomposedVerifier {
   // entries (an upper bound on simultaneous occupancy — tight unless an
   // insert segment also evicts other keys); Violated returns a concrete
   // packet sequence inserting bound+1 distinct entries, certified by
-  // sequence replay. With jobs > 1, Step 1
-  // summarization fans out across workers; the enumeration itself is
-  // inherently sequential (each query depends on the keys found so far) and
-  // gives identical results at any job count.
+  // sequence replay.
   StateBoundReport verify_bounded_state(const pipeline::Pipeline& pl,
                                         const InputPredicate& predicate,
                                         const StateBoundSpec& spec);
@@ -235,7 +214,7 @@ class DecomposedVerifier {
 
   // Summaries survive across calls — verifying many pipelines built from
   // the same element library reuses Step 1 work (the app-market use case).
-  // The cache is thread-safe; workers of the parallel engine share it.
+  // The cache is thread-safe; check_spec's assertion workers share one.
   symbex::SharedSummaryCache& cache();
   solver::Solver& solver();
 

@@ -51,11 +51,11 @@ struct VerifyStats {
   uint64_t refinements_attempted = 0;
   uint64_t refinements_certified = 0;
   uint64_t refinements_eliminated = 0;
-  // Solver-layer totals for this call, aggregated across the sequential
-  // engine's solver and (at jobs > 1) every worker's. sat_conflicts /
-  // sat_decisions span one-shot and incremental solves alike, so they are
-  // directly comparable across DecomposedConfig::incremental settings —
-  // the tab9 bench and the CI perf-smoke assert on exactly these.
+  // Solver-layer totals for this call, read from the verifier's solver.
+  // sat_conflicts / sat_decisions span one-shot and incremental solves
+  // alike, so they are directly comparable across
+  // DecomposedConfig::incremental settings — the tab9 bench and the CI
+  // perf-smoke assert on exactly these.
   uint64_t sat_conflicts = 0;
   uint64_t sat_decisions = 0;
   uint64_t blast_nodes = 0;

@@ -6,8 +6,8 @@
 // length, whole-file zeroing) into a live entry and proving each one reads
 // back as a miss, after which a re-verified store round-trips correctly.
 // On top of the store: engine-version invalidation, same-key writer races,
-// and the cold-vs-warm determinism matrix (jobs {1,8} x incremental
-// {on,off}, Proven and Violated specs alike) that pins warm verdicts and
+// and the cold-vs-warm determinism matrix (incremental {on,off}, Proven
+// and Violated specs alike) that pins warm verdicts and
 // counterexample bytes to their cache-less values.
 #include <gtest/gtest.h>
 
@@ -320,37 +320,32 @@ std::string observable(const spec::CheckReport& rep) {
   return out;
 }
 
-TEST_F(CacheTest, WarmReportsAreByteIdenticalAcrossTheJobsIncrementalMatrix) {
+TEST_F(CacheTest, WarmReportsAreByteIdenticalAcrossIncrementalModes) {
   for (const char* text : {kProvenSpec, kViolatedSpec}) {
     const spec::SpecFile spec = spec::parse_spec(text);
-    for (const size_t jobs : {size_t{1}, size_t{8}}) {
-      for (const bool incremental : {true, false}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                     " incremental=" + std::to_string(incremental));
-        spec::CheckOptions base;
-        base.jobs = jobs;
-        base.incremental = incremental;
-        const spec::CheckReport plain = spec::check_spec(spec, base);
+    for (const bool incremental : {true, false}) {
+      SCOPED_TRACE("incremental=" + std::to_string(incremental));
+      spec::CheckOptions base;
+      base.incremental = incremental;
+      const spec::CheckReport plain = spec::check_spec(spec, base);
 
-        const fs::path cache_dir =
-            dir_ / ("m" + std::to_string(jobs) +
-                    std::to_string(incremental ? 1 : 0) +
-                    std::to_string(text == kViolatedSpec ? 1 : 0));
-        VerdictCache cache(cache_dir.string());
-        spec::CheckOptions with_cache = base;
-        with_cache.cache = &cache;
-        const spec::CheckReport cold = spec::check_spec(spec, with_cache);
+      const fs::path cache_dir =
+          dir_ / ("m" + std::to_string(incremental ? 1 : 0) +
+                  std::to_string(text == kViolatedSpec ? 1 : 0));
+      VerdictCache cache(cache_dir.string());
+      spec::CheckOptions with_cache = base;
+      with_cache.cache = &cache;
+      const spec::CheckReport cold = spec::check_spec(spec, with_cache);
 
-        VerdictCache warm_cache(cache_dir.string());
-        spec::CheckOptions warm_opts = base;
-        warm_opts.cache = &warm_cache;
-        const spec::CheckReport warm = spec::check_spec(spec, warm_opts);
+      VerdictCache warm_cache(cache_dir.string());
+      spec::CheckOptions warm_opts = base;
+      warm_opts.cache = &warm_cache;
+      const spec::CheckReport warm = spec::check_spec(spec, warm_opts);
 
-        EXPECT_EQ(observable(cold), observable(plain));
-        EXPECT_EQ(observable(warm), observable(plain));
-        EXPECT_GT(warm.cache_hits, 0u) << "warm run found no cached work";
-        EXPECT_EQ(warm.cache_misses, 0u);
-      }
+      EXPECT_EQ(observable(cold), observable(plain));
+      EXPECT_EQ(observable(warm), observable(plain));
+      EXPECT_GT(warm.cache_hits, 0u) << "warm run found no cached work";
+      EXPECT_EQ(warm.cache_misses, 0u);
     }
   }
 }

@@ -30,15 +30,15 @@ expect_usage_error() {
 }
 
 expect_usage_error "--jobs abc rejected" \
-  "$VSD" verify "Classifier" --property crash --jobs abc
+  "$VSD" check /dev/null --jobs abc
 expect_usage_error "--jobs -1 rejected" \
-  "$VSD" verify "Classifier" --property crash --jobs -1
+  "$VSD" check /dev/null --jobs -1
 expect_usage_error "--seed 8x rejected" \
   "$VSD" run "Classifier" --count 1 --seed 8x
 expect_usage_error "--len trailing garbage rejected" \
   "$VSD" verify "Classifier" --property crash --len 64garbage
 expect_usage_error "--jobs out-of-range rejected" \
-  "$VSD" verify "Classifier" --property crash --jobs 99999999999999999999999
+  "$VSD" check /dev/null --jobs 99999999999999999999999
 
 # serve/submit/--cache-dir validation: every malformed invocation must be
 # a usage error (exit 2 with the usage text), never a hung daemon or a
@@ -115,6 +115,9 @@ expect_usage_error "run rejects --stats" \
   "$VSD" run "Classifier" --packets 1 --stats
 expect_usage_error "verify rejects a typo flag" \
   "$VSD" verify "Classifier" --property crash --job 2
+# --jobs is accepted (and ignored) only by check/serve/submit.
+expect_usage_error "verify rejects --jobs" \
+  "$VSD" verify "Classifier" --property crash --jobs 2
 rm -rf "$MTX"
 
 # vsd run: numeric flags go through the strict parser, the compiled-engine
@@ -137,7 +140,7 @@ expect_ok "run --no-compiled exits 0" \
   "$VSD" run "Classifier" --packets 16 --no-compiled
 
 # A valid invocation (including avoidance kill switches) still works.
-if "$VSD" verify "Classifier -> EthDecap" --property crash --jobs 2 \
+if "$VSD" verify "Classifier -> EthDecap" --property crash \
     --no-cex-cache --no-clause-gc > /dev/null 2>&1; then
   echo "ok: valid invocation exits 0"
 else

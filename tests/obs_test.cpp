@@ -1,8 +1,8 @@
 // The observability layer: tracer semantics (zero-cost disabled, concurrent
 // correctness), sink formats, and the two properties instrumentation must
-// never break — verdict/counterexample byte-identity with tracing on vs off
-// at any job count, and stats aggregation that neither double-counts nor
-// drops across jobs and incremental modes.
+// never break — verdict/counterexample byte-identity with tracing on vs off,
+// and stats aggregation that neither double-counts nor drops across
+// incremental modes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -48,12 +48,11 @@ std::string read_file(const std::string& path) {
 
 // The refinement workload from verify_test: summarize + stitch + solve +
 // refine all fire, the verdict is Violated with a concrete counterexample.
-verify::CrashFreedomReport run_refine_workload(size_t jobs, bool incremental) {
+verify::CrashFreedomReport run_refine_workload(bool incremental) {
   pipeline::Pipeline pl = elements::parse_pipeline(
       "CheckIPHeader -> EthDecap -> Null -> ToyFig1");
   DecomposedConfig cfg;
   cfg.packet_len = 48;
-  cfg.jobs = jobs;
   cfg.incremental = incremental;
   DecomposedVerifier v(cfg);
   return v.verify_crash_freedom(pl);
@@ -101,7 +100,7 @@ TEST(Tracer, ConcurrentSpanCounterStress) {
     threads.emplace_back([t] {
       obs::set_lane(static_cast<uint32_t>(t) + 1);
       for (int i = 0; i < kIters; ++i) {
-        obs::ScopedSpan sp(obs::Cat::Task, "stress");
+        obs::ScopedSpan sp(obs::Cat::Phase, "stress");
         if (sp) sp.arg("iter", std::to_string(i));
         obs::count("stress.iters");
         if (i % 64 == 0) {
@@ -117,8 +116,8 @@ TEST(Tracer, ConcurrentSpanCounterStress) {
   EXPECT_EQ(counters.at("stress.iters"),
             static_cast<uint64_t>(kThreads) * kIters);
   const auto agg = obs::span_aggregate();
-  ASSERT_EQ(agg.count({"task", "stress"}), 1u);
-  EXPECT_EQ(agg.at({"task", "stress"}).count,
+  ASSERT_EQ(agg.count({"phase", "stress"}), 1u);
+  EXPECT_EQ(agg.at({"phase", "stress"}).count,
             static_cast<uint64_t>(kThreads) * kIters);
 }
 
@@ -128,8 +127,13 @@ TEST(Tracer, ChromeTraceHasCategoriesAndWorkerLanes) {
   TracerGuard guard;
   obs::enable(true);
   const verify::CrashFreedomReport r =
-      run_refine_workload(/*jobs=*/8, /*incremental=*/true);
+      run_refine_workload(/*incremental=*/true);
   ASSERT_EQ(r.verdict, Verdict::Violated);
+  // A thread that traces on its own lane, as a multithreaded caller would.
+  std::thread([] {
+    obs::set_lane(1);
+    obs::ScopedSpan sp(obs::Cat::Phase, "side");
+  }).join();
   const std::string path = ::testing::TempDir() + "obs_trace.json";
   ASSERT_TRUE(obs::write_chrome_trace(path));
   const std::string trace = read_file(path);
@@ -146,16 +150,13 @@ TEST(Tracer, ChromeTraceHasCategoriesAndWorkerLanes) {
               std::string::npos)
         << "missing category " << cat;
   }
-  // Per-worker lanes: thread_name metadata for main plus at least one
-  // parallel worker lane (jobs=8 fans summaries/suspects out).
+  // Per-thread lanes: thread_name metadata for main and for the lane-1
+  // thread ("worker 0"), and spans on both.
   EXPECT_NE(trace.find("\"name\":\"main\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"worker 0\""), std::string::npos);
-  std::set<std::string> lanes;
-  for (size_t pos = trace.find("\"tid\":"); pos != std::string::npos;
-       pos = trace.find("\"tid\":", pos + 1)) {
-    lanes.insert(trace.substr(pos + 6, trace.find_first_of(",}", pos) - pos - 6));
-  }
-  EXPECT_GE(lanes.size(), 2u);
+  std::set<uint32_t> lanes;
+  for (const obs::SpanEvent& e : obs::events_snapshot()) lanes.insert(e.lane);
+  EXPECT_EQ(lanes, (std::set<uint32_t>{0, 1}));
   std::remove(path.c_str());
 }
 
@@ -163,7 +164,7 @@ TEST(Tracer, MetricsSinkIsJsonlWithTypedLines) {
   TracerGuard guard;
   obs::enable(true);
   const verify::CrashFreedomReport r =
-      run_refine_workload(/*jobs=*/1, /*incremental=*/true);
+      run_refine_workload(/*incremental=*/true);
   ASSERT_EQ(r.verdict, Verdict::Violated);
   const std::string path = ::testing::TempDir() + "obs_metrics.jsonl";
   ASSERT_TRUE(obs::write_metrics(path));
@@ -187,8 +188,8 @@ TEST(Tracer, MetricsSinkIsJsonlWithTypedLines) {
   std::remove(path.c_str());
 }
 
-// Counter values (not timings) are deterministic across identical runs at
-// jobs=1 — the property that makes the metrics log diffable in CI.
+// Counter values (not timings) are deterministic across identical runs —
+// the property that makes the metrics log diffable in CI.
 TEST(Tracer, CounterSnapshotIsDeterministicAcrossRuns) {
   TracerGuard guard;
   std::map<std::string, uint64_t> first;
@@ -196,7 +197,7 @@ TEST(Tracer, CounterSnapshotIsDeterministicAcrossRuns) {
     obs::reset();
     obs::enable(true);
     const verify::CrashFreedomReport r =
-        run_refine_workload(/*jobs=*/1, /*incremental=*/true);
+        run_refine_workload(/*incremental=*/true);
     ASSERT_EQ(r.verdict, Verdict::Violated);
     const auto counters = obs::counters_snapshot();
     obs::enable(false);
@@ -211,8 +212,8 @@ TEST(Tracer, CounterSnapshotIsDeterministicAcrossRuns) {
 
 // --- verdict neutrality ---------------------------------------------------
 
-// The acceptance matrix: tracing on vs off, jobs 1 vs 8 — verdicts and
-// counterexample bytes must be byte-identical. Tracing is observational
+// Tracing on vs off: verdicts and counterexample bytes must be
+// byte-identical. Tracing is observational
 // only; this is the test that keeps it that way.
 TEST(VerdictNeutrality, TracingOnOffMatrix) {
   TracerGuard guard;
@@ -220,11 +221,11 @@ TEST(VerdictNeutrality, TracingOnOffMatrix) {
     Verdict verdict;
     std::vector<std::vector<uint8_t>> ce_bytes;
   };
-  const auto run = [](bool tracing, size_t jobs) {
+  const auto run = [](bool tracing) {
     obs::reset();
     obs::enable(tracing);
     const verify::CrashFreedomReport r =
-        run_refine_workload(jobs, /*incremental=*/true);
+        run_refine_workload(/*incremental=*/true);
     obs::enable(false);
     Outcome o;
     o.verdict = r.verdict;
@@ -234,71 +235,49 @@ TEST(VerdictNeutrality, TracingOnOffMatrix) {
     }
     return o;
   };
-  for (const size_t jobs : {size_t{1}, size_t{8}}) {
-    const Outcome off = run(false, jobs);
-    const Outcome on = run(true, jobs);
-    EXPECT_EQ(off.verdict, on.verdict) << "jobs=" << jobs;
-    EXPECT_EQ(off.ce_bytes, on.ce_bytes) << "jobs=" << jobs;
-    ASSERT_EQ(off.verdict, Verdict::Violated);
-    ASSERT_FALSE(off.ce_bytes.empty());
-  }
+  const Outcome off = run(false);
+  const Outcome on = run(true);
+  EXPECT_EQ(off.verdict, on.verdict);
+  EXPECT_EQ(off.ce_bytes, on.ce_bytes);
+  ASSERT_EQ(off.verdict, Verdict::Violated);
+  ASSERT_FALSE(off.ce_bytes.empty());
 }
 
 // --- stats aggregation audit ----------------------------------------------
 
-// VerifyStats merges the main solver, every pool worker, and per-context
-// CheckStats. Scheduling-independent counters must agree across jobs 1 vs 8
-// and both incremental modes — a double-count or a dropped pool snapshot
-// shows up here as a mismatch.
-TEST(StatsAggregation, InvariantAcrossJobsAndIncrementalModes) {
+// VerifyStats merges the driver counters with the solver's CheckStats.
+// Decomposition counters must agree across both incremental modes — a
+// double-count or a dropped snapshot shows up here as a mismatch.
+TEST(StatsAggregation, InvariantAcrossIncrementalModes) {
   TracerGuard guard;
-  for (const bool incremental : {true, false}) {
-    const verify::CrashFreedomReport r1 = run_refine_workload(1, incremental);
-    const verify::CrashFreedomReport r8 = run_refine_workload(8, incremental);
-    const std::string ctx =
-        std::string("incremental=") + (incremental ? "on" : "off");
-    ASSERT_EQ(r1.verdict, Verdict::Violated) << ctx;
-    ASSERT_EQ(r8.verdict, r1.verdict) << ctx;
-    // The decomposition itself is schedule-independent: same suspects,
-    // same eliminations, same refinement outcomes at any job count.
-    EXPECT_EQ(r1.stats.suspects_found, r8.stats.suspects_found) << ctx;
-    EXPECT_EQ(r1.stats.suspects_eliminated, r8.stats.suspects_eliminated)
-        << ctx;
-    EXPECT_EQ(r1.stats.refinements_attempted, r8.stats.refinements_attempted)
-        << ctx;
-    EXPECT_EQ(r1.stats.refinements_certified, r8.stats.refinements_certified)
-        << ctx;
-    // (Summarization counts are NOT jobs-invariant by design: the mt
-    // driver prewarms eagerly what the sequential driver reaches lazily.)
-    //
-    // Dropped-pool-snapshot detector: at jobs=8 nearly all solver work
-    // happens on the per-worker SolverPool solvers; if snapshot_stats()
-    // dropped their CheckStats, these merged totals would collapse to ~0.
-    EXPECT_GE(r8.stats.solver_queries, r8.stats.suspects_found) << ctx;
-    EXPECT_GT(r8.stats.sat_solves, 0u) << ctx;
-    for (const verify::VerifyStats& s : {r1.stats, r8.stats}) {
-      EXPECT_GE(s.solver_queries, 1u) << ctx;
-      if (!incremental) {
-        // The one-shot mode must not open contexts anywhere — a nonzero
-        // count here means some worker ignored the config.
-        EXPECT_EQ(s.incremental_queries, 0u) << ctx;
-        EXPECT_EQ(s.contexts_opened, 0u) << ctx;
-      } else {
-        EXPECT_GT(s.contexts_opened, 0u) << ctx;
-      }
-    }
+  const verify::CrashFreedomReport on = run_refine_workload(true);
+  const verify::CrashFreedomReport off = run_refine_workload(false);
+  ASSERT_EQ(on.verdict, Verdict::Violated);
+  ASSERT_EQ(off.verdict, on.verdict);
+  EXPECT_EQ(on.stats.suspects_found, off.stats.suspects_found);
+  EXPECT_EQ(on.stats.suspects_eliminated, off.stats.suspects_eliminated);
+  EXPECT_EQ(on.stats.refinements_attempted, off.stats.refinements_attempted);
+  EXPECT_EQ(on.stats.refinements_certified, off.stats.refinements_certified);
+  for (const verify::VerifyStats& s : {on.stats, off.stats}) {
+    EXPECT_GE(s.solver_queries, s.suspects_found);
+    EXPECT_GT(s.sat_solves, 0u);
   }
+  EXPECT_GT(on.stats.contexts_opened, 0u);
+  // The one-shot mode must not open contexts anywhere — a nonzero count
+  // here means the solver ignored the config.
+  EXPECT_EQ(off.stats.incremental_queries, 0u);
+  EXPECT_EQ(off.stats.contexts_opened, 0u);
 }
 
-// Pin the jobs=1 totals of the refinement workload: aggregation
+// Pin the totals of the refinement workload: aggregation
 // regressions (a dropped snapshot, a double merge) move these numbers.
 // If a legitimate engine change moves them, update the constants — the
 // point is that it cannot happen silently.
 TEST(StatsAggregation, SequentialTotalsArePinned) {
   TracerGuard guard;
-  const verify::CrashFreedomReport a = run_refine_workload(1, true);
-  const verify::CrashFreedomReport b = run_refine_workload(1, true);
-  // Self-consistency: two fresh sequential runs agree exactly.
+  const verify::CrashFreedomReport a = run_refine_workload(true);
+  const verify::CrashFreedomReport b = run_refine_workload(true);
+  // Self-consistency: two fresh runs agree exactly.
   EXPECT_EQ(a.stats.solver_queries, b.stats.solver_queries);
   EXPECT_EQ(a.stats.suspects_found, b.stats.suspects_found);
   EXPECT_EQ(a.stats.sat_solves, b.stats.sat_solves);

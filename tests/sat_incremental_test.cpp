@@ -274,7 +274,11 @@ TEST(SolverTest, FeasibleThenModelUpgradesTheCacheEntry) {
   EXPECT_EQ(r.model.at(x->var_id()), 6u);
 }
 
-// --- Driver determinism at any job count (incremental on: the default) ------
+// --- Driver determinism across fresh verifiers (incremental on) ------------
+//
+// The second run starts with an expression pool the first one warmed, so
+// these pin that witness bytes depend only on the stitched constraints —
+// what lets check_spec's assertion workers match its sequential loop.
 
 namespace {
 
@@ -286,18 +290,17 @@ std::vector<std::string> packet_hexes(const std::vector<net::Packet>& ps) {
 
 }  // namespace
 
-TEST(IncrementalDeterminism, CrashCounterexampleBytesAcrossJobs) {
+TEST(IncrementalDeterminism, CrashCounterexampleBytesAcrossRuns) {
   const char* config = "UnsafeStrip(14) -> CheckIPHeader -> Discard";
   verify::CrashFreedomReport r1;
-  for (const size_t jobs : {size_t{1}, size_t{8}}) {
+  for (const int run : {0, 1}) {
     pipeline::Pipeline pl = elements::parse_pipeline(config);
     verify::DecomposedConfig cfg;
     cfg.packet_len = 8;
-    cfg.jobs = jobs;
     ASSERT_TRUE(cfg.incremental);  // the default under test
     verify::DecomposedVerifier v(cfg);
     const verify::CrashFreedomReport rn = v.verify_crash_freedom(pl);
-    if (jobs == 1) {
+    if (run == 0) {
       r1 = rn;
       EXPECT_EQ(rn.verdict, verify::Verdict::Violated);
       continue;
@@ -307,18 +310,17 @@ TEST(IncrementalDeterminism, CrashCounterexampleBytesAcrossJobs) {
     for (size_t i = 0; i < rn.counterexamples.size(); ++i) {
       EXPECT_EQ(rn.counterexamples[i].packet.hex(96),
                 r1.counterexamples[i].packet.hex(96))
-          << "jobs=8 counterexample " << i;
+          << "second-run counterexample " << i;
     }
   }
 }
 
-TEST(IncrementalDeterminism, ReachCounterexampleBytesAcrossJobs) {
+TEST(IncrementalDeterminism, ReachCounterexampleBytesAcrossRuns) {
   verify::ReachabilityReport r1;
-  for (const size_t jobs : {size_t{1}, size_t{8}}) {
+  for (const int run : {0, 1}) {
     pipeline::Pipeline pl = elements::make_ip_router_pipeline();
     verify::DecomposedConfig cfg;
     cfg.packet_len = 64;
-    cfg.jobs = jobs;
     verify::DecomposedVerifier v(cfg);
     const verify::ReachabilityReport rn = v.verify_never_dropped(
         pl, [&](const symbex::SymPacket& p) {
@@ -327,7 +329,7 @@ TEST(IncrementalDeterminism, ReachCounterexampleBytesAcrossJobs) {
               verify::dst_ip_is(p, net::parse_ipv4("8.8.8.8"),
                                 net::kEtherHeaderSize));
         });
-    if (jobs == 1) {
+    if (run == 0) {
       r1 = rn;
       EXPECT_EQ(rn.verdict, verify::Verdict::Violated);
       continue;
@@ -337,26 +339,25 @@ TEST(IncrementalDeterminism, ReachCounterexampleBytesAcrossJobs) {
     for (size_t i = 0; i < rn.counterexamples.size(); ++i) {
       EXPECT_EQ(rn.counterexamples[i].packet.hex(96),
                 r1.counterexamples[i].packet.hex(96))
-          << "jobs=8 counterexample " << i;
+          << "second-run counterexample " << i;
       EXPECT_EQ(rn.counterexamples[i].element_path,
                 r1.counterexamples[i].element_path);
     }
   }
 }
 
-TEST(IncrementalDeterminism, StateSequenceBytesAcrossJobs) {
+TEST(IncrementalDeterminism, StateSequenceBytesAcrossRuns) {
   verify::StateBoundReport r1;
-  for (const size_t jobs : {size_t{1}, size_t{8}}) {
+  for (const int run : {0, 1}) {
     pipeline::Pipeline pl = elements::parse_pipeline("NetFlow");
     verify::DecomposedConfig cfg;
     cfg.packet_len = 40;
-    cfg.jobs = jobs;
     verify::DecomposedVerifier v(cfg);
     verify::StateBoundSpec spec;
     spec.bound = 2;
     const verify::StateBoundReport rn = v.verify_bounded_state(
         pl, [](const symbex::SymPacket&) { return bv::mk_bool(true); }, spec);
-    if (jobs == 1) {
+    if (run == 0) {
       r1 = rn;
       EXPECT_EQ(rn.verdict, verify::Verdict::Violated);
       continue;

@@ -126,6 +126,27 @@ TEST_F(ServeTest, ProcessRequestMatchesDirectCheckSpec) {
   EXPECT_EQ(normalized(embedded), normalized(direct));
 }
 
+TEST_F(ServeTest, HugeJobsIsAnsweredNormally) {
+  // A request's "jobs" is accepted and has no effect: check_spec starts no
+  // threads, so no request line can make the daemon start 100000 of them.
+  cache::VerdictCache cache("");
+  verify::SummaryCaches shared;
+  const std::string resp = process_request(
+      "{\"id\":\"big\",\"spec\":" + spec::json_quote(kProvenSpec) +
+          ",\"jobs\":100000}",
+      1, &cache, &shared);
+  EXPECT_EQ(resp.rfind("{\"ok\":true,\"id\":\"big\",", 0), 0u) << resp;
+  EXPECT_NE(resp.find("\"ok\":true,\"passed\":2"), std::string::npos) << resp;
+  const spec::SpecFile spec = spec::parse_spec(kProvenSpec);
+  const std::string direct = spec::spec_report_json(
+      "<request>", spec, spec::check_spec(spec, {}));
+  const size_t at = resp.find("\"report\":");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(normalized(resp.substr(at + 9, resp.find(",\"cache_hits\":") -
+                                               at - 9)),
+            normalized(direct));
+}
+
 TEST_F(ServeTest, ProcessRequestRejectsBadInputsWithoutThrowing) {
   cache::VerdictCache cache("");
   verify::SummaryCaches shared;

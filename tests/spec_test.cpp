@@ -1,7 +1,7 @@
 // vspec subsystem tests: lexer/parser line-column diagnostics, the
 // type/arity checker, predicate compilation through the field-access layer,
 // the well-formedness predicates clause by clause, and the batch checker
-// end-to-end (including counterexample replay and --jobs determinism).
+// end-to-end (including counterexample replay).
 #include <gtest/gtest.h>
 
 #include "elements/registry.hpp"
@@ -465,26 +465,6 @@ TEST(Check, RouterSpecProvesAllFourAssertions) {
   EXPECT_TRUE(rep.ok);
   EXPECT_GT(rep.outcomes[1].max_instructions, 0u);
   EXPECT_LE(rep.outcomes[1].max_instructions, 4000u);
-}
-
-TEST(Check, VerdictsAreIdenticalAcrossJobCounts) {
-  const SpecFile spec = parse_spec(kRouterSpec);
-  CheckOptions j1, j8;
-  j1.jobs = 1;
-  j8.jobs = 8;
-  const CheckReport a = check_spec(spec, j1);
-  const CheckReport b = check_spec(spec, j8);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].passed, b.outcomes[i].passed) << i;
-    EXPECT_EQ(a.outcomes[i].verdict, b.outcomes[i].verdict) << i;
-    EXPECT_EQ(a.outcomes[i].max_instructions,
-              b.outcomes[i].max_instructions)
-        << i;
-    EXPECT_EQ(a.outcomes[i].counterexamples.size(),
-              b.outcomes[i].counterexamples.size())
-        << i;
-  }
 }
 
 TEST(Check, FailingSpecYieldsAReplayableCounterexample) {

@@ -1,7 +1,7 @@
 // Stateful-property verification tests: the per-element state summaries
 // (insert/evict classification), the bounded-state / flow-occupancy driver
-// (exact proofs, violations certified by concrete sequence replay, jobs
-// determinism), and the per-path unroll refinement that upgrades
+// (exact proofs, violations certified by concrete sequence replay,
+// determinism across runs), and the per-path unroll refinement that upgrades
 // summarized-loop Unknowns into certified verdicts.
 #include <gtest/gtest.h>
 
@@ -241,16 +241,17 @@ TEST(BoundedState, KeyEnumerationBudgetDegradesToUnknown) {
   EXPECT_TRUE(r.packet_sequence.empty());
 }
 
-TEST(BoundedState, VerdictsAndSequencesAreIdenticalAcrossJobs) {
+// Two fresh verifiers, the second over an expression pool the first one
+// warmed: identical sequences mean the models depend only on the queries.
+TEST(BoundedState, VerdictsAndSequencesAreIdenticalAcrossRuns) {
   verify::StateBoundSpec spec;
   spec.bound = 2;
   std::vector<verify::StateBoundReport> reports;
-  for (const size_t jobs : {size_t{1}, size_t{8}}) {
+  for (int run = 0; run < 2; ++run) {
     const pipeline::Pipeline pl =
         elements::parse_pipeline("CheckIPHeader(nochecksum) -> NetFlow");
     verify::DecomposedConfig cfg;
     cfg.packet_len = 40;
-    cfg.jobs = jobs;
     verify::DecomposedVerifier v(cfg);
     reports.push_back(v.verify_bounded_state(pl, any_packet(), spec));
   }
@@ -398,16 +399,15 @@ TEST(UnrollRefinement, ZeroBudgetReproducesThePriorUnknown) {
   EXPECT_EQ(r.verdict, Verdict::Unknown);
 }
 
-TEST(UnrollRefinement, VerdictsAreIdenticalAcrossJobs) {
+TEST(UnrollRefinement, VerdictsAreIdenticalAcrossRuns) {
   for (const auto& [make, expected] :
        {std::pair{&make_artifact_loop, Verdict::Proven},
         std::pair{&make_scanning_loop, Verdict::Violated}}) {
     std::vector<verify::ReachabilityReport> reports;
-    for (const size_t jobs : {size_t{1}, size_t{8}}) {
+    for (int run = 0; run < 2; ++run) {
       const pipeline::Pipeline pl = single_element(make());
       verify::DecomposedConfig cfg;
       cfg.packet_len = 8;
-      cfg.jobs = jobs;
       verify::DecomposedVerifier v(cfg);
       reports.push_back(
           v.verify_reach_never(pl, any_packet(), must_exit_port0()));
@@ -450,7 +450,7 @@ assert reachable(output 0) when with_opts;
 
 // --- Spec-level occupancy determinism -------------------------------------------
 
-TEST(BoundedState, SpecCheckIsDeterministicAcrossJobs) {
+TEST(BoundedState, SpecCheckIsDeterministicAcrossRuns) {
   const spec::SpecFile sf = spec::parse_spec(R"(
 pipeline "CheckIPHeader(nochecksum) -> NetFlow";
 set packet_len = 40;
@@ -458,11 +458,8 @@ set ip_offset = 0;
 assert flow_occupancy(NetFlow) <= 2 when wellformed;
 assert bounded_state <= 2 when wellformed && ip.src == 10.0.0.1 && ip.dst == 10.0.0.2;
 )");
-  spec::CheckOptions j1, j8;
-  j1.jobs = 1;
-  j8.jobs = 8;
-  const spec::CheckReport a = spec::check_spec(sf, j1);
-  const spec::CheckReport b = spec::check_spec(sf, j8);
+  const spec::CheckReport a = spec::check_spec(sf);
+  const spec::CheckReport b = spec::check_spec(sf);
   ASSERT_EQ(a.outcomes.size(), 2u);
   EXPECT_FALSE(a.outcomes[0].passed);   // 3 distinct flows beat bound 2
   EXPECT_TRUE(a.outcomes[1].passed);    // one pinned flow: 1 entry

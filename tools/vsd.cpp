@@ -10,13 +10,10 @@
 //   vsd run      "<pipeline>" [--packets N | --pcap-like FILE] [--batch B]
 //                [--traffic CLASS] [--seed S] [--no-compiled]
 //   vsd verify   "<pipeline>" --property crash|bound [--len N] [--unroll]
-//                [--jobs N]
 //   vsd reach    "<pipeline>" --dst A.B.C.D [--len N] [--eth-offset N]
-//                [--jobs N]
 //   vsd state    "<pipeline>" --bound N [--element NAME] [--len N]
-//                [--jobs N]                 bounded private-state occupancy
+//                                           bounded private-state occupancy
 //   vsd certify  "<base>" --candidate "<element>" [--after K] [--len N]
-//                [--jobs N]
 //   vsd baseline "<pipeline>" [--len N] [--budget SECONDS]
 //   vsd asm      <file.vsd>              assemble + validate a textual element
 //   vsd verify-ir <file.vsd> --property crash|bound [--len N]
@@ -158,21 +155,21 @@ void check_flags(const Args& a) {
     m["fuzz"] = with(kAvoid,
                      with(obs, {"emit-packs", "check-packs", "seed",
                                 "pipelines", "packets", "sequences",
-                                "sequence-len", "jobs", "max-elems",
+                                "sequence-len", "max-elems",
                                 "no-cross-check", "no-artifacts", "out",
                                 "cache-dir", "no-compiled"}));
     m["serve"] = with(obs, {"socket", "cache-dir", "jobs"});
     m["submit"] = with(obs, {"socket", "jobs"});
-    m["verify"] = with(kAvoid, with(obs, {"property", "len", "unroll", "jobs",
+    m["verify"] = with(kAvoid, with(obs, {"property", "len", "unroll",
                                           "one-shot", "cache-dir", "stats"}));
-    m["reach"] = with(kAvoid, with(obs, {"dst", "eth-offset", "len", "jobs",
+    m["reach"] = with(kAvoid, with(obs, {"dst", "eth-offset", "len",
                                          "one-shot", "stats"}));
-    m["state"] = with(kAvoid, with(obs, {"bound", "element", "len", "jobs",
+    m["state"] = with(kAvoid, with(obs, {"bound", "element", "len",
                                          "one-shot", "stats"}));
-    m["certify"] = with(obs, {"candidate", "after", "len", "jobs"});
+    m["certify"] = with(obs, {"candidate", "after", "len"});
     m["baseline"] = with(obs, {"len", "budget"});
-    m["paths"] = with(obs, {"len", "jobs"});
-    m["profile"] = with(kAvoid, with(obs, {"len", "jobs", "one-shot"}));
+    m["paths"] = with(obs, {"len"});
+    m["profile"] = with(kAvoid, with(obs, {"len", "one-shot"}));
     m["verify-ir"] = with(obs, {"len", "property"});
     return m;
   }();
@@ -202,7 +199,8 @@ int usage() {
       "           [--cache-dir DIR]\n"
       "      run every assertion of the spec(s); --json writes a\n"
       "      machine-readable per-assertion report; --cache-dir reuses\n"
-      "      verdicts from a persistent cross-run cache\n"
+      "      verdicts from a persistent cross-run cache; --jobs is\n"
+      "      accepted and ignored\n"
       "  vsd serve --socket PATH [--cache-dir DIR] [--jobs N]\n"
       "      verification daemon: accepts vspec jobs as newline-delimited\n"
       "      JSON over an AF_UNIX socket; SIGTERM drains and exits\n"
@@ -217,7 +215,7 @@ int usage() {
       "       --metrics FILE for a JSONL metrics log; flags a subcommand\n"
       "       does not document are usage errors, exit 2)\n"
       "  vsd fuzz [--seed S] [--pipelines N] [--packets N] [--sequences N]\n"
-      "           [--sequence-len K] [--max-elems K] [--jobs N] [--out DIR]\n"
+      "           [--sequence-len K] [--max-elems K] [--out DIR]\n"
       "           [--no-cross-check] [--no-artifacts] [--cache-dir DIR]\n"
       "           [--no-compiled]\n"
       "      differential fuzz; --cache-dir adds the warm-vs-cold\n"
@@ -226,7 +224,7 @@ int usage() {
       "      oracle)\n"
       "  vsd fuzz --emit-packs [DIR]              write per-element "
       "property packs\n"
-      "  vsd fuzz --check-packs [DIR] [--jobs N]  verify the pack corpus\n"
+      "  vsd fuzz --check-packs [DIR]             verify the pack corpus\n"
       "  vsd show \"<pipeline>\"                     print element IR\n"
       "  vsd run \"<pipeline>\" [--packets N | --pcap-like FILE] [--batch B]\n"
       "          [--traffic wellformed|options|malformed|random|tiny]\n"
@@ -235,18 +233,14 @@ int usage() {
       "      packets/sec; --pcap-like replays hex-dump packets (the fuzz\n"
       "      .pkt artifact format); --no-compiled runs the interpreter\n"
       "  vsd verify \"<pipeline>\" --property crash|bound [--len N] "
-      "[--unroll] [--jobs N] [--cache-dir DIR]\n"
-      "  vsd reach \"<pipeline>\" --dst A.B.C.D [--len N] [--eth-offset N] "
-      "[--jobs N]\n"
-      "  vsd state \"<pipeline>\" --bound N [--element NAME] [--len N] "
-      "[--jobs N]\n"
+      "[--unroll] [--cache-dir DIR]\n"
+      "  vsd reach \"<pipeline>\" --dst A.B.C.D [--len N] [--eth-offset N]\n"
+      "  vsd state \"<pipeline>\" --bound N [--element NAME] [--len N]\n"
       "  vsd certify \"<base>\" --candidate \"<element>\" [--after K] "
-      "[--len N] [--jobs N]\n"
+      "[--len N]\n"
       "  vsd baseline \"<pipeline>\" [--len N] [--budget SECONDS]\n"
-      "  vsd paths \"<pipeline>\" [--len N] [--jobs N]  composed path "
-      "listing\n"
-      "  vsd profile \"<pipeline>\" [--len N] [--jobs N]  per-element, "
-      "per-phase\n"
+      "  vsd paths \"<pipeline>\" [--len N]  composed path listing\n"
+      "  vsd profile \"<pipeline>\" [--len N]  per-element, per-phase\n"
       "      time/query attribution (runs crash + bound verification "
       "traced)\n"
       "  vsd asm <file.vsd>                        assemble + validate\n"
@@ -378,8 +372,8 @@ int cmd_check(const Args& a) {
     }
     std::printf("%s: pipeline \"%s\"\n", path.c_str(),
                 sf.pipeline_config.c_str());
-    std::printf("  (packet_len %zu, ip_offset %zu, jobs %zu)\n",
-                sf.packet_len, sf.ip_offset, opts.jobs);
+    std::printf("  (packet_len %zu, ip_offset %zu)\n", sf.packet_len,
+                sf.ip_offset);
     const spec::CheckReport rep = spec::check_spec(sf, opts);
     for (const spec::AssertionOutcome& o : rep.outcomes) {
       print_check_outcome(o);
@@ -423,8 +417,7 @@ int cmd_fuzz(const Args& a) {
   if (a.options.count("check-packs") != 0) {
     std::string dir = a.get("check-packs", "");
     if (dir.empty()) dir = "tests/packs";
-    const fuzz::PackCheckResult r =
-        fuzz::check_packs(dir, a.get_u64("jobs", 1));
+    const fuzz::PackCheckResult r = fuzz::check_packs(dir);
     for (const std::string& line : r.lines) {
       std::printf("%s\n", line.c_str());
     }
@@ -438,7 +431,6 @@ int cmd_fuzz(const Args& a) {
   cfg.packets = a.get_u64("packets", 100);
   cfg.sequences = a.get_u64("sequences", 4);
   cfg.sequence_len = a.get_u64("sequence-len", 6);
-  cfg.jobs = a.get_u64("jobs", 1);
   cfg.gen.max_chain = a.get_u64("max-elems", 4);
   cfg.cross_check = !a.flag("no-cross-check");
   cfg.rewrite = !a.flag("no-rewrite");
@@ -644,7 +636,6 @@ int cmd_verify(const Args& a) {
   verify::DecomposedConfig cfg;
   cfg.packet_len = a.get_u64("len", 64);
   if (a.flag("unroll")) cfg.loop_mode = symbex::LoopMode::Unroll;
-  cfg.jobs = a.get_u64("jobs", 1);  // 0 = one worker per hardware thread
   cfg.incremental = !a.flag("one-shot");
   apply_avoidance_flags(a, &cfg);
   // Persistent cross-run verdict cache, as on `vsd check` / `vsd serve`.
@@ -704,7 +695,6 @@ int cmd_reach(const Args& a) {
   const size_t eth_off = a.get_u64("eth-offset", 0);
   verify::DecomposedConfig cfg;
   cfg.packet_len = a.get_u64("len", 64);
-  cfg.jobs = a.get_u64("jobs", 1);
   cfg.incremental = !a.flag("one-shot");
   apply_avoidance_flags(a, &cfg);
   verify::DecomposedVerifier verifier(cfg);
@@ -726,7 +716,6 @@ int cmd_state(const Args& a) {
   pipeline::Pipeline pl = elements::parse_pipeline(a.positional[1]);
   verify::DecomposedConfig cfg;
   cfg.packet_len = a.get_u64("len", 64);
-  cfg.jobs = a.get_u64("jobs", 1);
   cfg.incremental = !a.flag("one-shot");
   apply_avoidance_flags(a, &cfg);
   verify::DecomposedVerifier verifier(cfg);
@@ -773,7 +762,6 @@ int cmd_state(const Args& a) {
 int cmd_certify(const Args& a) {
   verify::DecomposedConfig cfg;
   cfg.packet_len = a.get_u64("len", 64);
-  cfg.jobs = a.get_u64("jobs", 1);
   verify::DecomposedVerifier verifier(cfg);
   const verify::CertificationReport r = verify::certify_element(
       verifier, a.positional[1], a.get("candidate", "Null"),
@@ -787,7 +775,6 @@ int cmd_paths(const Args& a) {
   pipeline::Pipeline pl = elements::parse_pipeline(a.positional[1]);
   verify::DecomposedConfig cfg;
   cfg.packet_len = a.get_u64("len", 64);
-  cfg.jobs = a.get_u64("jobs", 1);
   verify::DecomposedVerifier verifier(cfg);
   const verify::ComposedPaths composed = verifier.enumerate_paths(pl);
   std::printf("%zu composed end-to-end paths (len %zu)%s:\n",
@@ -819,7 +806,6 @@ int cmd_profile(const Args& a) {
   pipeline::Pipeline pl = elements::parse_pipeline(a.positional[1]);
   verify::DecomposedConfig cfg;
   cfg.packet_len = a.get_u64("len", 64);
-  cfg.jobs = a.get_u64("jobs", 1);
   cfg.incremental = !a.flag("one-shot");
   apply_avoidance_flags(a, &cfg);
   verify::DecomposedVerifier verifier(cfg);
@@ -831,8 +817,8 @@ int cmd_profile(const Args& a) {
   const verify::InstructionBoundReport bound =
       verifier.verify_instruction_bound(pl);
 
-  std::printf("profile \"%s\" (len %zu, jobs %zu)\n",
-              a.positional[1].c_str(), cfg.packet_len, cfg.jobs);
+  std::printf("profile \"%s\" (len %zu)\n", a.positional[1].c_str(),
+              cfg.packet_len);
   std::printf("  crash-freedom: %s in %.2f s; instruction bound: %s "
               "(max %llu) in %.2f s\n",
               verify::verdict_name(crash.verdict), crash.seconds,
@@ -983,8 +969,8 @@ int cmd_serve(const Args& a) {
   serve::Server server(opts);
   std::string err;
   if (!server.start(&err)) throw UsageError(err);
-  std::printf("vsd serve: listening on %s (jobs %zu, cache %s)\n",
-              opts.socket_path.c_str(), opts.jobs,
+  std::printf("vsd serve: listening on %s (cache %s)\n",
+              opts.socket_path.c_str(),
               opts.cache_dir.empty() ? "in-memory" : opts.cache_dir.c_str());
   std::fflush(stdout);
 
